@@ -2,8 +2,8 @@
 //! 12-configuration design-change timing sweep evaluated by per-config
 //! re-interpretation (`run_timing`: one functional execution *per cell*,
 //! the pre-trace path and correctness oracle) versus record-once/
-//! replay-many (`PackedTrace::capture` once per program +
-//! `run_timing_replay` per cell). Asserts bit-identical `PipelineReport`
+//! replay-many (`PackedTrace::capture` and `InstrMetaTable::new` once per
+//! program + `run_timing_store_interned` per cell). Asserts bit-identical `PipelineReport`
 //! and `PowerReport` values before timing, and prints the wall-clock
 //! speedup replay delivers, plus the stream-regeneration microcosts
 //! (interpret vs replay) that drive it.
@@ -12,7 +12,10 @@ use std::path::Path;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use perfclone::{run_timing, run_timing_replay, MachineConfig, PackedTrace, TimingResult};
+use perfclone::{
+    run_timing, run_timing_store_interned, InstrMetaTable, MachineConfig, PackedTrace,
+    TimingResult, TraceStore,
+};
 use perfclone_bench::{
     design_sweep_configs, experiment_params, prepare, scale_from_env, scale_label,
 };
@@ -35,10 +38,11 @@ fn sweep_replay(programs: &[&Program], configs: &[MachineConfig]) -> Vec<TimingR
     programs
         .iter()
         .flat_map(|p| {
-            let trace = PackedTrace::capture(p, u64::MAX);
+            let trace = TraceStore::Mem(PackedTrace::capture(p, u64::MAX));
+            let meta = InstrMetaTable::new(p);
             configs
                 .iter()
-                .map(|c| run_timing_replay(p, &trace, c).expect("timing"))
+                .map(|c| run_timing_store_interned(p, &trace, &meta, c).expect("timing"))
                 .collect::<Vec<_>>()
         })
         .collect()

@@ -3,12 +3,13 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use perfclone::experiments::{cache_sweep_pair_par, design_change_sweep_par};
+use perfclone::experiments::{cache_sweep_pair, design_change_sweep};
 use perfclone::{
     base_config, cache_sweep, env_fault_injector, faultfs, pareto_frontier, parse_fault_injector,
-    run_grid, run_grid_with, run_timing, run_timing_store, run_timing_trace, CellRow, Cloner,
-    Error, Fault, FaultPlan, Gate, GridAxes, GridOutcome, GridPolicy, GridSpec, PairComparison,
-    SynthesisParams, Table, ValidationReport, Verdict, WorkloadCache, WorkloadProfile,
+    run_grid, run_grid_with, run_timing, run_timing_store_interned, run_timing_trace, CellRow,
+    Cloner, Error, Fault, FaultPlan, Gate, GridAxes, GridOutcome, GridPolicy, GridSpec,
+    PairComparison, SynthesisParams, Table, ValidationReport, Verdict, WorkloadCache,
+    WorkloadProfile,
 };
 use perfclone_isa::Program;
 use perfclone_obs::{
@@ -97,8 +98,6 @@ ENVIRONMENT:
   PERFCLONE_TRACE_CAP     byte budget for in-memory packed dynamic traces
                           (default 1 GiB); over-cap captures spill to disk
                           and replay via mmap with identical results
-  PERFCLONE_SPILL         set to 0 to disable spilling (over-cap workloads
-                          then fall back to per-config re-interpretation)
   PERFCLONE_SPILL_DIR     directory for spilled traces (default: tmp)
   PERFCLONE_FAULTFS       arm the deterministic I/O chaos shim, e.g.
                           `seed=7,enospc=13,short=19,torn=11,corrupt=17,
@@ -475,8 +474,8 @@ fn validate(parsed: &Parsed) -> Result<(), String> {
     // as a packed trace (spilled to disk and mmapped back when over-cap);
     // the gate re-profiles by replaying it, and — when the capture
     // completed (halted within budget) — the same trace drives the timing
-    // run below. Only a disabled or failed spill falls back to the direct
-    // interpreter path, with identical results.
+    // run below. Only a failed spill falls back to the direct interpreter
+    // path, with identical results.
     let gate = Gate::default();
     let clone_key = format!("{name}.clone");
     let gate_trace = match cache.packed_trace(&clone_key, &clone, gate.profile_budget) {
@@ -513,7 +512,9 @@ fn validate(parsed: &Parsed) -> Result<(), String> {
     let real =
         run_timing_trace(&name, &program, &config, u64::MAX, &cache).map_err(|e| e.to_string())?;
     let synth = match gate_trace.as_ref().filter(|t| t.halted()) {
-        Some(store) => run_timing_store(&clone, store, &config),
+        Some(store) => {
+            run_timing_store_interned(&clone, store, &cache.instr_meta(&clone_key, &clone), &config)
+        }
         None => run_timing_trace(&clone_key, &clone, &config, u64::MAX, &cache),
     }
     .map_err(|e| e.to_string())?;
@@ -571,7 +572,7 @@ fn sweep(parsed: &Parsed) -> Result<(), String> {
     // come back in configuration order regardless of the thread count.
     let sweep_span = perfclone_obs::span!("cli.sweep");
     let start = std::time::Instant::now();
-    let cmp = cache_sweep_pair_par(&program, &clone, &cache_sweep(), u64::MAX);
+    let cmp = cache_sweep_pair(&program, &clone, &cache_sweep(), u64::MAX);
     let wall_ns = start.elapsed().as_nanos() as u64;
     drop(sweep_span);
     let configs = cmp.configs.len() as u64;
@@ -591,10 +592,11 @@ fn sweep(parsed: &Parsed) -> Result<(), String> {
 /// `perfclone dsweep <kernel>`: the Table-3 design-change timing sweep —
 /// real program vs clone on the base machine and every single-parameter
 /// design change. Both retired streams are captured once as packed traces
-/// and replayed per configuration over the `--jobs` pool; when a capture
-/// exceeds `PERFCLONE_TRACE_CAP` the engine re-interprets per config with
-/// bit-identical results (the CI fallback smoke runs this command under a
-/// deliberately tiny cap).
+/// and replayed per configuration over the `--jobs` pool. A capture that
+/// exceeds `PERFCLONE_TRACE_CAP` spills to disk; when the spill fails the
+/// engine re-interprets per config with bit-identical results (the CI
+/// fallback smoke runs this command under a deliberately tiny cap and an
+/// unwritable spill directory).
 fn dsweep(parsed: &Parsed) -> Result<(), String> {
     let (name, program) = kernel_program(parsed, 0)?;
     let profile = perfclone::profile_program(&program, u64::MAX).map_err(|e| e.to_string())?;
@@ -604,7 +606,7 @@ fn dsweep(parsed: &Parsed) -> Result<(), String> {
         Cloner::with_params(params).clone_program_from(&profile).map_err(|e| e.to_string())?;
     let sweep_span = perfclone_obs::span!("cli.dsweep");
     let start = std::time::Instant::now();
-    let sweep = design_change_sweep_par(&program, &clone, &base_config(), u64::MAX)
+    let sweep = design_change_sweep(&program, &clone, &base_config(), u64::MAX)
         .map_err(|e| e.to_string())?;
     let wall_ns = start.elapsed().as_nanos() as u64;
     drop(sweep_span);

@@ -2,43 +2,20 @@
 //! cache sweep (Figures 4 and 5), base-configuration comparison (Figures 6
 //! and 7), and the five design changes (Table 3, Figures 8 and 9).
 //!
-//! Every driver has a `_par` twin that fans its (program × configuration)
-//! cells over the ambient rayon parallelism. Each cell builds its own
-//! pipeline, caches, and predictor state, and results are collected in
-//! input order, so the parallel drivers return values bit-identical to
-//! their serial twins at any thread count.
+//! Every driver fans its (program × configuration) cells over the ambient
+//! rayon parallelism. Each cell builds its own pipeline, caches, and
+//! predictor state, and results are collected in input order, so the
+//! drivers return bit-identical values at any thread count; on a
+//! one-thread pool the cells run inline in index order.
 
-use perfclone_isa::Program;
+use perfclone_isa::{InstrMetaTable, Program};
 use perfclone_metrics::{pearson, rank, relative_error};
 use perfclone_sim::TraceStore;
 use perfclone_uarch::{design_changes, sweep_trace, AddressTrace, CacheConfig, MachineConfig};
 use rayon::prelude::*;
 
 use crate::cache::{capture_packed, trace_cap};
-use crate::{run_timing, run_timing_store, Error, TimingResult};
-
-/// Captures a packed trace for a sweep-local replay — possibly spilled to
-/// disk when over-cap — or `None` when the capture fell back (already
-/// logged and counted by the capture choke point) and the sweep must
-/// re-interpret per cell.
-fn packed_or_fallback(program: &Program, limit: u64) -> Option<TraceStore> {
-    capture_packed(program, limit, trace_cap()).ok()
-}
-
-/// One timing cell: replay the shared capture when there is one, fall
-/// back to the direct interpreter path otherwise. Both produce
-/// bit-identical results.
-fn timed(
-    program: &Program,
-    trace: Option<&TraceStore>,
-    config: &MachineConfig,
-    limit: u64,
-) -> Result<TimingResult, Error> {
-    match trace {
-        Some(t) => run_timing_store(program, t, config),
-        None => run_timing(program, config, limit),
-    }
-}
+use crate::{time_program, Error, TimingResult};
 
 /// Result of sweeping real program and clone over the same cache
 /// configurations.
@@ -74,27 +51,13 @@ fn sweep_mpi(trace: &AddressTrace, configs: &[CacheConfig]) -> Vec<f64> {
 
 /// Sweeps a (real, clone) pair over `configs` (Figure 4 / 5 experiment).
 ///
-/// Each program's data-reference trace is extracted once and evaluated
-/// for all configurations by the single-pass stack-distance engine
-/// ([`sweep_trace`]) — two functional simulations total instead of
-/// 2 × `configs.len()`.
+/// Each program's data-reference trace is extracted once — the two
+/// extractions (the dominant cost) fan over the ambient thread pool — and
+/// evaluated for all configurations by the single-pass stack-distance
+/// engine ([`sweep_trace`]): two functional simulations total instead of
+/// 2 × `configs.len()`. Miss counts are exact integers, so the result is
+/// bit-identical at any thread count.
 pub fn cache_sweep_pair(
-    real: &Program,
-    clone: &Program,
-    configs: &[CacheConfig],
-    limit: u64,
-) -> CacheSweepComparison {
-    let real_mpi = sweep_mpi(&AddressTrace::extract(real, limit), configs);
-    let synth_mpi = sweep_mpi(&AddressTrace::extract(clone, limit), configs);
-    CacheSweepComparison { configs: configs.to_vec(), real_mpi, synth_mpi }
-}
-
-/// Parallel [`cache_sweep_pair`]: the two trace extractions (the dominant
-/// cost) fan over the ambient thread pool, and each trace then runs
-/// through the stack-distance engine. Miss counts are exact integers, so
-/// the result is bit-identical to the serial driver's at any thread
-/// count.
-pub fn cache_sweep_pair_par(
     real: &Program,
     clone: &Program,
     configs: &[CacheConfig],
@@ -177,50 +140,27 @@ impl DesignChangeSweep {
 /// Runs the full Table-3 sweep for one (real, clone) pair: base plus the
 /// five design changes.
 ///
-/// Each program's dynamic trace is captured once ([`PackedTrace`]) and
-/// replayed through every configuration — two functional executions total
-/// instead of 2 × (1 + 5) — falling back to per-cell interpretation when
-/// a capture exceeds `PERFCLONE_TRACE_CAP`. Either path yields
+/// Each program's dynamic trace is captured once and replayed through
+/// every configuration — two functional executions total instead of
+/// 2 × (1 + 5). A capture that outgrows `PERFCLONE_TRACE_CAP` spills to
+/// disk and replays via mmap; only when the spill fails does that
+/// program fall back to per-cell interpretation. Either path yields
 /// bit-identical results.
 ///
+/// The two captures, and then the 2 × (1 + 5) (program × configuration)
+/// timing cells, fan over the ambient thread pool. Every cell constructs
+/// its own [`Pipeline`](crate::Pipeline) — caches, predictor, window
+/// state and all — and replays its program's shared immutable capture
+/// through the program's interned metadata table, built once, so cells
+/// share nothing mutable and the sweep is bit-identical at any thread
+/// count.
+///
 /// # Errors
 ///
-/// Returns [`Error::Sim`] if either program faults on any configuration.
+/// Returns [`Error::Sim`] if either program faults on any configuration;
+/// when several cells fault, the reported error is the first in cell
+/// order (independent of thread schedule).
 pub fn design_change_sweep(
-    real: &Program,
-    clone: &Program,
-    base: &MachineConfig,
-    limit: u64,
-) -> Result<DesignChangeSweep, Error> {
-    let real_trace = packed_or_fallback(real, limit);
-    let synth_trace = packed_or_fallback(clone, limit);
-    let base_real = timed(real, real_trace.as_ref(), base, limit)?;
-    let base_synth = timed(clone, synth_trace.as_ref(), base, limit)?;
-    let mut changes = Vec::new();
-    for config in design_changes() {
-        changes.push(DesignChangeResult {
-            config,
-            real: timed(real, real_trace.as_ref(), &config, limit)?,
-            synth: timed(clone, synth_trace.as_ref(), &config, limit)?,
-        });
-    }
-    Ok(DesignChangeSweep { base_real, base_synth, changes })
-}
-
-/// Parallel [`design_change_sweep`]: the two trace captures and then the
-/// 2 × (1 + 5) (program × configuration) timing cells fan over the
-/// ambient thread pool. Every cell constructs its own
-/// [`Pipeline`](crate::Pipeline) — caches, predictor, window state and
-/// all — and replays its program's shared immutable [`PackedTrace`], so
-/// cells share nothing mutable, and the reassembled sweep is
-/// bit-identical to the serial driver's.
-///
-/// # Errors
-///
-/// Same as [`design_change_sweep`]; when several cells fault, the
-/// reported error is the first in cell order (independent of thread
-/// schedule).
-pub fn design_change_sweep_par(
     real: &Program,
     clone: &Program,
     base: &MachineConfig,
@@ -229,11 +169,15 @@ pub fn design_change_sweep_par(
     let mut configs = vec![*base];
     configs.extend(design_changes());
     let programs = [real, clone];
-    // Two captures fan over the pool first, then every (program × config)
-    // cell replays its program's shared capture — the workers share the
-    // immutable packed traces by reference, nothing else.
-    let traces: Vec<Option<TraceStore>> =
-        programs.par_iter().map(|p| packed_or_fallback(p, limit)).collect();
+    // `None` when the capture fell back (already logged and counted by
+    // the capture choke point) and the program re-interprets per cell.
+    let captures: Vec<Option<(TraceStore, InstrMetaTable)>> = programs
+        .par_iter()
+        .map(|p| {
+            let store = capture_packed(p, limit, trace_cap()).ok()?;
+            Some((store, InstrMetaTable::new(p)))
+        })
+        .collect();
     let cells: Vec<(usize, usize)> = configs
         .iter()
         .enumerate()
@@ -241,7 +185,10 @@ pub fn design_change_sweep_par(
         .collect();
     let results: Vec<Result<TimingResult, Error>> = cells
         .par_iter()
-        .map(|&(ci, p)| timed(programs[p], traces[p].as_ref(), &configs[ci], limit))
+        .map(|&(ci, p)| {
+            let trace = captures[p].as_ref().map(|(store, meta)| (store, meta));
+            time_program(programs[p], trace, &configs[ci], limit, None)
+        })
         .collect();
     let results: Vec<TimingResult> = results.into_iter().collect::<Result<_, _>>()?;
     // Cells were laid out [base×real, base×clone, change1×real, ...] and
@@ -288,57 +235,25 @@ mod tests {
         assert_eq!(rs.len(), 28);
     }
 
-    /// Acceptance: the single-pass engine behind the sweep drivers must
+    /// Acceptance: the single-pass engine behind the sweep driver must
     /// reproduce per-configuration `simulate_dcache` replay exactly, for
-    /// every configuration of the Figure-4/5 sweep set.
+    /// every configuration of the Figure-4/5 sweep set, at any thread
+    /// count.
     #[test]
     fn engine_sweep_matches_per_config_replay_on_fig04_set() {
         use perfclone_uarch::simulate_dcache;
         let (app, clone) = small_pair();
         let configs = cache_sweep();
-        let sweep = cache_sweep_pair(&app, &clone, &configs, u64::MAX);
-        for (i, config) in configs.iter().enumerate() {
-            let real = simulate_dcache(&app, *config, u64::MAX);
-            let synth = simulate_dcache(&clone, *config, u64::MAX);
-            assert_eq!(sweep.real_mpi[i].to_bits(), real.mpi().to_bits(), "{config}");
-            assert_eq!(sweep.synth_mpi[i].to_bits(), synth.mpi().to_bits(), "{config}");
-        }
-    }
-
-    #[test]
-    fn parallel_cache_sweep_is_bit_identical_to_serial() {
-        let (app, clone) = small_pair();
-        let configs = cache_sweep();
-        let serial = cache_sweep_pair(&app, &clone, &configs, u64::MAX);
         for jobs in [1usize, 4] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(jobs).build().expect("pool");
-            let par = pool.install(|| cache_sweep_pair_par(&app, &clone, &configs, u64::MAX));
-            assert_eq!(serial.real_mpi, par.real_mpi, "jobs = {jobs}");
-            assert_eq!(serial.synth_mpi, par.synth_mpi, "jobs = {jobs}");
-            assert_eq!(serial.configs, par.configs, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn parallel_design_change_sweep_is_bit_identical_to_serial() {
-        let (app, clone) = small_pair();
-        let serial = design_change_sweep(&app, &clone, &base_config(), 150_000).unwrap();
-        let par = design_change_sweep_par(&app, &clone, &base_config(), 150_000).unwrap();
-        assert_eq!(serial.base_real.report.cycles, par.base_real.report.cycles);
-        assert_eq!(
-            serial.base_synth.power.average_power.to_bits(),
-            par.base_synth.power.average_power.to_bits()
-        );
-        assert_eq!(serial.changes.len(), par.changes.len());
-        for (s, p) in serial.changes.iter().zip(&par.changes) {
-            assert_eq!(s.config.name, p.config.name);
-            assert_eq!(s.real.report.cycles, p.real.report.cycles);
-            assert_eq!(s.synth.report.cycles, p.synth.report.cycles);
-            assert_eq!(s.real.report.ipc().to_bits(), p.real.report.ipc().to_bits());
-            assert_eq!(
-                s.synth.power.average_power.to_bits(),
-                p.synth.power.average_power.to_bits()
-            );
+            let sweep = pool.install(|| cache_sweep_pair(&app, &clone, &configs, u64::MAX));
+            assert_eq!(sweep.configs, configs);
+            for (i, config) in configs.iter().enumerate() {
+                let real = simulate_dcache(&app, *config, u64::MAX);
+                let synth = simulate_dcache(&clone, *config, u64::MAX);
+                assert_eq!(sweep.real_mpi[i].to_bits(), real.mpi().to_bits(), "{config} {jobs}");
+                assert_eq!(sweep.synth_mpi[i].to_bits(), synth.mpi().to_bits(), "{config} {jobs}");
+            }
         }
     }
 

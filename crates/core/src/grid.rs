@@ -56,10 +56,7 @@ use serde::{Deserialize, Serialize};
 use crate::cache::WorkloadCache;
 use crate::error::ErrorClass;
 use crate::journal::{Journal, JournalError, QuarantineRecord};
-use crate::{
-    run_timing, run_timing_budgeted, run_timing_store_interned, run_timing_store_interned_budgeted,
-    Error, TimingResult,
-};
+use crate::{time_program, Error, TimingResult};
 
 /// One design-space sweep: a workload, an instruction limit, the grid
 /// axes, and the sharding geometry.
@@ -398,26 +395,6 @@ fn shard_delay() -> Option<Duration> {
     })
 }
 
-/// Times one cell, honouring the policy's per-cell deadline. The trace
-/// path replays batched through the sweep-wide interned `meta` table, so
-/// every cell skips per-record static resolution.
-fn time_cell(
-    program: &Program,
-    trace: Option<(&TraceStore, &InstrMetaTable)>,
-    config: &MachineConfig,
-    limit: u64,
-    deadline: Option<u64>,
-) -> Result<TimingResult, Error> {
-    match (trace, deadline) {
-        (Some((store, meta)), Some(cycles)) => {
-            run_timing_store_interned_budgeted(program, store, meta, config, cycles)
-        }
-        (Some((store, meta)), None) => run_timing_store_interned(program, store, meta, config),
-        (None, Some(cycles)) => run_timing_budgeted(program, config, limit, cycles),
-        (None, None) => run_timing(program, config, limit),
-    }
-}
-
 /// Executes one cell under supervision: transient failures (see
 /// [`Error::classify`]) are retried with seeded backoff up to the
 /// policy's budget. Returns the timing plus the retries spent, or the
@@ -435,7 +412,7 @@ fn supervise_cell(
     loop {
         let outcome = match injector.and_then(|inject| inject(cell, attempt)) {
             Some(err) => Err(err),
-            None => time_cell(program, trace, config, spec.limit, policy.cell_deadline),
+            None => time_program(program, trace, config, spec.limit, policy.cell_deadline),
         };
         match outcome {
             Ok(timing) => return Ok((timing, u64::from(attempt))),
@@ -544,8 +521,8 @@ pub fn run_grid_with(
     }
     perfclone_obs::gauge!("grid.cells", spec.cells());
 
-    // One capture for the whole sweep; a fallback (cap hit with spill
-    // disabled, or spill failure) re-interprets per cell instead.
+    // One capture for the whole sweep; a fallback (the spill failed)
+    // re-interprets per cell instead.
     let trace = match cache.packed_trace(&spec.workload, program, spec.limit) {
         Ok(store) => Some(store),
         Err(e) if e.is_trace_fallback() => None,

@@ -162,7 +162,7 @@ impl Cloner {
         gate: &Gate,
     ) -> Result<(CloneOutcome, ValidationReport), Error> {
         let outcome = self.clone_program(program, limit)?;
-        let report = gate.accept(&outcome.profile, &outcome.clone)?;
+        let report = gate.report(&outcome.profile, &outcome.clone)?.into_result()?;
         Ok((outcome, report))
     }
 }
@@ -176,8 +176,57 @@ pub struct TimingResult {
     pub power: PowerReport,
 }
 
+/// The one timing path behind every public entry point: runs `program`
+/// through the pipeline under `config` and estimates power. With
+/// `trace`, the captured store replays batched through the interned
+/// `meta` table; without, the live interpreter supplies up to `limit`
+/// instructions. `max_cycles` is the per-cell deadline of supervised
+/// sweeps ([`GridPolicy`](grid::GridPolicy)`::cell_deadline`); `None`
+/// runs to completion.
+///
+/// A budget trip is reported before a fault, and a fault before any
+/// counter moves, so both paths fail identically.
+pub(crate) fn time_program(
+    program: &Program,
+    trace: Option<(&TraceStore, &InstrMetaTable)>,
+    config: &MachineConfig,
+    limit: u64,
+    max_cycles: Option<u64>,
+) -> Result<TimingResult, Error> {
+    let _span = perfclone_obs::span!("uarch.pipeline.run");
+    let pipeline = Pipeline::new(*config);
+    let budget = max_cycles.unwrap_or(u64::MAX);
+    let report = match trace {
+        Some((store, meta)) => {
+            let report =
+                pipeline.run_batched_budgeted(store.replay_batched(program, meta), budget)?;
+            if let Some(f) = store.fault() {
+                return Err(Error::Sim(f.clone()));
+            }
+            report
+        }
+        None => {
+            let mut live = Simulator::trace(program, limit);
+            let report = pipeline.run_budgeted(&mut live, budget)?;
+            if let Some(f) = live.fault() {
+                return Err(Error::Sim(f.clone()));
+            }
+            report
+        }
+    };
+    perfclone_obs::count!("uarch.pipeline.runs", 1);
+    perfclone_obs::count!("uarch.pipeline.instrs", report.instrs);
+    if trace.is_some() {
+        perfclone_obs::count!("trace.replays", 1);
+        perfclone_obs::count!("replay.batch.runs", 1);
+    }
+    let power = estimate_power(config, &report);
+    Ok(TimingResult { report, power })
+}
+
 /// Runs `program` (up to `limit` instructions) through the timing pipeline
-/// under `config` and estimates power.
+/// under `config` and estimates power, driving the live interpreter — the
+/// reference every replay path is checked against.
 ///
 /// # Errors
 ///
@@ -190,81 +239,22 @@ pub fn run_timing(
     config: &MachineConfig,
     limit: u64,
 ) -> Result<TimingResult, Error> {
-    let _span = perfclone_obs::span!("uarch.pipeline.run");
-    let mut trace = Simulator::trace(program, limit);
-    let report = Pipeline::new(*config).run(&mut trace);
-    if let Some(f) = trace.fault() {
-        return Err(Error::Sim(f.clone()));
-    }
-    perfclone_obs::count!("uarch.pipeline.runs", 1);
-    perfclone_obs::count!("uarch.pipeline.instrs", report.instrs);
-    let power = estimate_power(config, &report);
-    Ok(TimingResult { report, power })
-}
-
-/// [`run_timing`] with a pipeline cycle budget — the per-cell deadline of
-/// supervised sweeps ([`GridPolicy`](grid::GridPolicy)`::cell_deadline`).
-///
-/// # Errors
-///
-/// As [`run_timing`], plus [`Error::BudgetExhausted`] (stage
-/// `"pipeline"`) when the trace has not drained within `max_cycles` — a
-/// permanent failure under the supervisor's
-/// [classification](Error::classify), since re-running the same cell
-/// re-derives the same cycle count.
-pub fn run_timing_budgeted(
-    program: &Program,
-    config: &MachineConfig,
-    limit: u64,
-    max_cycles: u64,
-) -> Result<TimingResult, Error> {
-    let _span = perfclone_obs::span!("uarch.pipeline.run");
-    let mut trace = Simulator::trace(program, limit);
-    let report = Pipeline::new(*config).run_budgeted(&mut trace, max_cycles)?;
-    if let Some(f) = trace.fault() {
-        return Err(Error::Sim(f.clone()));
-    }
-    perfclone_obs::count!("uarch.pipeline.runs", 1);
-    perfclone_obs::count!("uarch.pipeline.instrs", report.instrs);
-    let power = estimate_power(config, &report);
-    Ok(TimingResult { report, power })
+    time_program(program, None, config, limit, None)
 }
 
 /// Runs a previously captured [`TraceStore`] — in-memory or spilled to
-/// disk and mmapped back — through the timing pipeline under `config`.
-/// Both storage classes decode through the same replay machinery, so the
-/// result is bit-identical to [`run_timing_replay`] on the in-memory
-/// trace (and to [`run_timing`] at the capture limit).
+/// disk and mmapped back — through the timing pipeline under `config`,
+/// bit-identically to [`run_timing`] at the capture limit. `meta` is the
+/// program's interned metadata table, built once per program (e.g. via
+/// [`WorkloadCache::instr_meta`]) and shared by every configuration of a
+/// sweep. Drives the batched SoA decode path
+/// ([`TraceStore::replay_batched`]), which is property-tested
+/// bit-identical to the record-at-a-time oracle.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Sim`] carrying the fault recorded at capture time,
 /// if any.
-///
-/// # Panics
-///
-/// Panics if `program` is not the program the trace was captured from
-/// (see [`PackedTrace::replay`]).
-pub fn run_timing_store(
-    program: &Program,
-    store: &TraceStore,
-    config: &MachineConfig,
-) -> Result<TimingResult, Error> {
-    let meta = InstrMetaTable::new(program);
-    run_timing_store_interned(program, store, &meta, config)
-}
-
-/// [`run_timing_store`] with a caller-supplied interned metadata table —
-/// the amortized entry point for sweeps, where the same `meta` (built
-/// once per program, e.g. via [`WorkloadCache::instr_meta`]) serves every
-/// configuration instead of being rebuilt per replay. Drives the batched
-/// SoA decode path ([`TraceStore::replay_batched`] →
-/// [`Pipeline::run_batched`]), which is property-tested bit-identical to
-/// the record-at-a-time oracle.
-///
-/// # Errors
-///
-/// As [`run_timing_store`].
 ///
 /// # Panics
 ///
@@ -276,108 +266,7 @@ pub fn run_timing_store_interned(
     meta: &InstrMetaTable,
     config: &MachineConfig,
 ) -> Result<TimingResult, Error> {
-    let _span = perfclone_obs::span!("uarch.pipeline.run");
-    let replay = store.replay_batched(program, meta);
-    let report = Pipeline::new(*config).run_batched(replay);
-    if let Some(f) = store.fault() {
-        return Err(Error::Sim(f.clone()));
-    }
-    perfclone_obs::count!("uarch.pipeline.runs", 1);
-    perfclone_obs::count!("uarch.pipeline.instrs", report.instrs);
-    perfclone_obs::count!("trace.replays", 1);
-    perfclone_obs::count!("replay.batch.runs", 1);
-    let power = estimate_power(config, &report);
-    Ok(TimingResult { report, power })
-}
-
-/// [`run_timing_store`] with a pipeline cycle budget — the per-cell
-/// deadline of supervised sweeps
-/// ([`GridPolicy`](grid::GridPolicy)`::cell_deadline`).
-///
-/// # Errors
-///
-/// As [`run_timing_store`], plus [`Error::BudgetExhausted`] (stage
-/// `"pipeline"`) when the replay has not drained within `max_cycles`.
-///
-/// # Panics
-///
-/// Panics if `program` is not the program the trace was captured from
-/// (see [`PackedTrace::replay`]).
-pub fn run_timing_store_budgeted(
-    program: &Program,
-    store: &TraceStore,
-    config: &MachineConfig,
-    max_cycles: u64,
-) -> Result<TimingResult, Error> {
-    let meta = InstrMetaTable::new(program);
-    run_timing_store_interned_budgeted(program, store, &meta, config, max_cycles)
-}
-
-/// [`run_timing_store_interned`] with a pipeline cycle budget — the
-/// amortized form of [`run_timing_store_budgeted`].
-///
-/// # Errors
-///
-/// As [`run_timing_store_budgeted`].
-///
-/// # Panics
-///
-/// As [`run_timing_store_interned`].
-pub fn run_timing_store_interned_budgeted(
-    program: &Program,
-    store: &TraceStore,
-    meta: &InstrMetaTable,
-    config: &MachineConfig,
-    max_cycles: u64,
-) -> Result<TimingResult, Error> {
-    let _span = perfclone_obs::span!("uarch.pipeline.run");
-    let replay = store.replay_batched(program, meta);
-    let report = Pipeline::new(*config).run_batched_budgeted(replay, max_cycles)?;
-    if let Some(f) = store.fault() {
-        return Err(Error::Sim(f.clone()));
-    }
-    perfclone_obs::count!("uarch.pipeline.runs", 1);
-    perfclone_obs::count!("uarch.pipeline.instrs", report.instrs);
-    perfclone_obs::count!("trace.replays", 1);
-    perfclone_obs::count!("replay.batch.runs", 1);
-    let power = estimate_power(config, &report);
-    Ok(TimingResult { report, power })
-}
-
-/// Runs a previously captured [`PackedTrace`] through the timing pipeline
-/// under `config` — the replay half of record-once/replay-many. The
-/// pipeline consumes the reconstructed [`DynInstr`](perfclone_sim::DynInstr)
-/// stream exactly as it would the live interpreter's, so the result is
-/// bit-identical to [`run_timing`] at the trace's capture limit.
-///
-/// # Errors
-///
-/// Returns [`Error::Sim`] carrying the fault recorded at capture time, if
-/// any — a fault replays as the same typed error the interpreter path
-/// surfaces.
-///
-/// # Panics
-///
-/// Panics if `program` is not the program the trace was captured from
-/// (see [`PackedTrace::replay`]).
-pub fn run_timing_replay(
-    program: &Program,
-    trace: &PackedTrace,
-    config: &MachineConfig,
-) -> Result<TimingResult, Error> {
-    let _span = perfclone_obs::span!("uarch.pipeline.run");
-    let meta = InstrMetaTable::new(program);
-    let replay = trace.replay_batched(program, &meta);
-    let report = Pipeline::new(*config).run_batched(replay);
-    if let Some(f) = trace.fault() {
-        return Err(Error::Sim(f.clone()));
-    }
-    perfclone_obs::count!("uarch.pipeline.runs", 1);
-    perfclone_obs::count!("uarch.pipeline.instrs", report.instrs);
-    perfclone_obs::count!("trace.replays", 1);
-    perfclone_obs::count!("replay.batch.runs", 1);
-    let power = estimate_power(config, &report);
-    Ok(TimingResult { report, power })
+    time_program(program, Some((store, meta)), config, u64::MAX, None)
 }
 
 /// [`run_timing`] through the shared [`WorkloadCache`]: the workload's
@@ -385,10 +274,9 @@ pub fn run_timing_replay(
 /// this and every subsequent configuration, so an N-configuration sweep
 /// pays one functional execution instead of N. A capture that outgrows
 /// `PERFCLONE_TRACE_CAP` (see [`trace_cap`]) spills to disk and replays
-/// via mmap; only when spilling is disabled (`PERFCLONE_SPILL=0`) or the
-/// spill itself fails does this fall back to the direct interpreter path
-/// — logged and counted, never silently truncated — and either way it
-/// returns the identical result.
+/// via mmap; only when the spill itself fails does this fall back to the
+/// direct interpreter path — logged and counted, never silently
+/// truncated — and either way it returns the identical result.
 ///
 /// # Errors
 ///
@@ -404,9 +292,9 @@ pub fn run_timing_trace(
     match cache.packed_trace(workload, program, limit) {
         Ok(store) => {
             let meta = cache.instr_meta(workload, program);
-            run_timing_store_interned(program, &store, &meta, config)
+            time_program(program, Some((&store, &meta)), config, limit, None)
         }
-        Err(e) if e.is_trace_fallback() => run_timing(program, config, limit),
+        Err(e) if e.is_trace_fallback() => time_program(program, None, config, limit, None),
         Err(e) => Err(e),
     }
 }
@@ -481,30 +369,6 @@ pub fn validate_pair(
     Ok(PairComparison {
         real: run_timing(real, config, limit)?,
         synth: run_timing(clone, config, limit)?,
-    })
-}
-
-/// [`validate_pair`] through the shared [`WorkloadCache`]: both programs'
-/// dynamic traces are captured once per `(workload, limit)` and replayed
-/// here and by every other configuration that validates the same pair.
-/// `real_key`/`clone_key` are the cache's workload names — callers must
-/// keep them distinct per program, as with every cache entry.
-///
-/// # Errors
-///
-/// Same as [`validate_pair`].
-pub fn validate_pair_trace(
-    real_key: &str,
-    clone_key: &str,
-    real: &Program,
-    clone: &Program,
-    config: &MachineConfig,
-    limit: u64,
-    cache: &WorkloadCache,
-) -> Result<PairComparison, Error> {
-    Ok(PairComparison {
-        real: run_timing_trace(real_key, real, config, limit, cache)?,
-        synth: run_timing_trace(clone_key, clone, config, limit, cache)?,
     })
 }
 

@@ -139,41 +139,18 @@ pub struct SuiteMark {
     pub power_mark: f64,
 }
 
-/// Computes the suite mark of `suite` on `config`.
+/// Computes the suite mark of `suite` on `config`. Per-member timing runs
+/// fan over the ambient thread pool; the weighted reduction happens
+/// serially in member order, so the mark is bit-identical at any thread
+/// count.
 ///
 /// # Errors
 ///
 /// Returns [`Error::EmptySuite`] for an empty suite and [`Error::Sim`] if
-/// a member faults during its timing run.
+/// a member faults during its timing run; when several members fault,
+/// the reported error is the first in member order (independent of
+/// thread schedule).
 pub fn suite_mark(suite: &Suite, config: &MachineConfig, limit: u64) -> Result<SuiteMark, Error> {
-    if suite.is_empty() {
-        return Err(Error::EmptySuite { name: suite.name().to_string() });
-    }
-    let mut log_sum = 0.0;
-    let mut weight_sum = 0.0;
-    let mut power_sum = 0.0;
-    for (program, weight) in suite.entries() {
-        let t = run_timing(program, config, limit)?;
-        log_sum += weight * t.report.ipc().ln();
-        power_sum += weight * t.power.average_power;
-        weight_sum += weight;
-    }
-    Ok(SuiteMark { ipc_mark: (log_sum / weight_sum).exp(), power_mark: power_sum / weight_sum })
-}
-
-/// Parallel [`suite_mark`]: per-member timing runs fan over the ambient
-/// thread pool; the weighted reduction happens serially in member order,
-/// so the mark is bit-identical to the serial one at any thread count.
-///
-/// # Errors
-///
-/// Same as [`suite_mark`]; when several members fault, the reported error
-/// is the first in member order (independent of thread schedule).
-pub fn suite_mark_par(
-    suite: &Suite,
-    config: &MachineConfig,
-    limit: u64,
-) -> Result<SuiteMark, Error> {
     if suite.is_empty() {
         return Err(Error::EmptySuite { name: suite.name().to_string() });
     }
@@ -235,18 +212,27 @@ mod tests {
         assert!(err < 0.3, "suite mark error {err:.3}");
     }
 
+    /// The mark equals the weighted geometric-mean IPC and arithmetic-mean
+    /// power of the members' live-interpreter runs, at any thread count.
     #[test]
-    fn parallel_mark_is_bit_identical_to_serial() {
+    fn mark_matches_reference_at_any_thread_count() {
         let mut s = Suite::new("auto");
         s.push(program("bitcount"), 1.0).unwrap();
         s.push(program("qsort"), 2.5).unwrap();
         s.push(program("crc32"), 0.5).unwrap();
-        let serial = suite_mark(&s, &base_config(), 60_000).unwrap();
+        let (mut log_sum, mut power_sum, mut weight_sum) = (0.0, 0.0, 0.0);
+        for (p, w) in s.entries() {
+            let t = run_timing(p, &base_config(), 60_000).unwrap();
+            log_sum += w * t.report.ipc().ln();
+            power_sum += w * t.power.average_power;
+            weight_sum += w;
+        }
+        let (ipc, power) = ((log_sum / weight_sum).exp(), power_sum / weight_sum);
         for jobs in [1usize, 4] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(jobs).build().expect("pool");
-            let par = pool.install(|| suite_mark_par(&s, &base_config(), 60_000)).unwrap();
-            assert_eq!(serial.ipc_mark.to_bits(), par.ipc_mark.to_bits(), "jobs = {jobs}");
-            assert_eq!(serial.power_mark.to_bits(), par.power_mark.to_bits(), "jobs = {jobs}");
+            let mark = pool.install(|| suite_mark(&s, &base_config(), 60_000)).unwrap();
+            assert_eq!(mark.ipc_mark.to_bits(), ipc.to_bits(), "jobs = {jobs}");
+            assert_eq!(mark.power_mark.to_bits(), power.to_bits(), "jobs = {jobs}");
         }
     }
 
@@ -293,6 +279,5 @@ mod tests {
         let s = Suite::new("none");
         let err = suite_mark(&s, &base_config(), 1000).unwrap_err();
         assert!(matches!(err, Error::EmptySuite { ref name } if name == "none"));
-        assert!(suite_mark_par(&s, &base_config(), 1000).is_err());
     }
 }

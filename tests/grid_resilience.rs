@@ -2,16 +2,56 @@
 //! retried to success with a deterministic schedule at any thread count,
 //! permanent faults quarantine under `--keep-going` (and abort typed
 //! without it), quarantine records survive resume, and truncated journal
-//! records demote to pending instead of poisoning the sweep.
+//! records demote to pending instead of poisoning the sweep. A sweep
+//! whose trace spill fails re-interprets every cell with results
+//! identical to replay, deadlines included.
 
 use std::path::PathBuf;
 
+use perfclone::faultfs::{self, FaultFsPlan};
 use perfclone::{
-    parse_fault_injector, run_grid_with, Error, ErrorClass, GridAxes, GridOutcome, GridPolicy,
-    GridSpec, WorkloadCache,
+    parse_fault_injector, run_grid_with, CellRow, Error, ErrorClass, GridAxes, GridOutcome,
+    GridPolicy, GridSpec, WorkloadCache,
 };
+use perfclone_isa::{MemWidth, ProgramBuilder, Reg, StreamDesc};
 use perfclone_kernels::{by_name, Scale};
 use proptest::prelude::*;
+
+/// A program name no other test's file paths contain, so a fault plan
+/// scoped to it fails only this program's spill files.
+const SPILL_VICTIM: &str = "grid-spill-victim";
+
+/// Installs the process-wide I/O fault plan — every write to a path
+/// naming [`SPILL_VICTIM`] fails with ENOSPC — before any journal write
+/// can fix the plan (the first guarded operation wins).
+fn arm_spill_faults() {
+    static ARMED: std::sync::Once = std::sync::Once::new();
+    ARMED.call_once(|| {
+        faultfs::install(FaultFsPlan {
+            enospc: 1,
+            scope: Some(SPILL_VICTIM.into()),
+            ..FaultFsPlan::inert()
+        });
+    });
+}
+
+/// A streaming multiply-accumulate loop named [`SPILL_VICTIM`].
+fn spill_victim() -> perfclone_isa::Program {
+    let mut b = ProgramBuilder::new(SPILL_VICTIM);
+    let r = Reg::new;
+    let id = b.stream(StreamDesc { base: 0x10_0000, stride: 40, length: 1 << 12 });
+    b.li(r(3), 0);
+    b.li(r(4), 2_000);
+    let top = b.label();
+    b.bind(top);
+    b.ld_stream(r(6), id, MemWidth::B8);
+    b.mul(r(7), r(6), r(3));
+    b.add(r(8), r(8), r(7));
+    b.addi(r(3), r(3), 1);
+    b.blt(r(3), r(4), top);
+    b.halt();
+    b.build()
+}
 
 fn tiny_program() -> perfclone_isa::Program {
     by_name("crc32").expect("kernel exists").build(Scale::Tiny).program
@@ -45,6 +85,7 @@ fn sweep(
     policy: &GridPolicy,
     faults: Option<&str>,
 ) -> Result<GridOutcome, Error> {
+    arm_spill_faults();
     let injector = faults.and_then(parse_fault_injector);
     let cache = WorkloadCache::new();
     run_grid_with(program, spec, journal, &cache, policy, injector.as_deref(), |_| {})
@@ -201,6 +242,64 @@ fn truncated_final_shard_demotes_and_recovers() {
     // The torn record is preserved as evidence, not deleted.
     assert!(journal.join(format!("shard-{last:06}.json.corrupt")).exists());
     let _ = std::fs::remove_dir_all(&journal);
+}
+
+/// The timing path's four branches — replayed trace or interpreter
+/// fallback, each with and without a cycle deadline — agree. A sweep
+/// whose trace spill fails re-interprets every cell to the rows of an
+/// in-memory replay, and a deadline quarantines the same cells, typed
+/// `budget-exhausted`, on both paths.
+#[test]
+fn spill_fallback_matches_replay_with_and_without_deadline() {
+    arm_spill_faults();
+    assert!(faultfs::active(), "the spill fault plan must be installed");
+    let program = spill_victim();
+    let spec = GridSpec {
+        workload: SPILL_VICTIM.into(),
+        scale: "tiny".into(),
+        limit: 20_000,
+        axes: GridAxes::small(),
+        max_cells: u64::MAX,
+        shard_size: 8,
+    };
+    let run = |tag: &str, fallback: bool, cell_deadline: Option<u64>| -> GridOutcome {
+        let cache = WorkloadCache::new();
+        if fallback {
+            // The failed capture is memoized, so the sweep's own lookup
+            // falls back too.
+            let err = cache
+                .packed_trace_capped(SPILL_VICTIM, &program, spec.limit, 64)
+                .expect_err("a 64-byte cap spills, and the spill fails");
+            assert!(err.is_trace_fallback(), "{tag}: {err}");
+        }
+        let journal = temp_journal(tag);
+        let _ = std::fs::remove_dir_all(&journal);
+        let policy = GridPolicy { cell_deadline, ..fast_policy(true) };
+        let outcome = run_grid_with(&program, &spec, &journal, &cache, &policy, None, |_| {})
+            .expect("keep-going sweep completes");
+        let _ = std::fs::remove_dir_all(&journal);
+        outcome
+    };
+
+    let replay = run("branch-replay", false, None);
+    assert_eq!(replay.rows.len() as u64, spec.cells());
+    assert_eq!(run("branch-fallback", true, None).rows, replay.rows);
+
+    // The median cell's cycle count trips every slower cell.
+    let mut cycles: Vec<u64> = replay.rows.iter().map(|r| r.cycles).collect();
+    cycles.sort_unstable();
+    let deadline = cycles[cycles.len() / 2];
+    let tripped: Vec<u64> =
+        replay.rows.iter().filter(|r| r.cycles > deadline).map(|r| r.cell).collect();
+    let kept: Vec<&CellRow> = replay.rows.iter().filter(|r| r.cycles <= deadline).collect();
+    assert!(!tripped.is_empty() && !kept.is_empty(), "the deadline must split the grid");
+    for (tag, fallback) in [("branch-replay-deadline", false), ("branch-fallback-deadline", true)] {
+        let outcome = run(tag, fallback, Some(deadline));
+        let cells: Vec<u64> = outcome.quarantined.iter().map(|q| q.cell).collect();
+        assert_eq!(cells, tripped, "{tag}: quarantined cells");
+        assert!(outcome.quarantined.iter().all(|q| q.kind == "budget-exhausted"), "{tag}");
+        assert_eq!(outcome.rows.iter().collect::<Vec<_>>(), kept, "{tag}: surviving rows");
+    }
 }
 
 proptest! {

@@ -5,7 +5,7 @@
 //! path across machine configurations and rayon thread counts, and the
 //! fidelity gate's replay path must return the identical report.
 
-use perfclone::experiments::{design_change_sweep, design_change_sweep_par};
+use perfclone::experiments::design_change_sweep;
 use perfclone_isa::{InstrMetaTable, MemWidth, Program, ProgramBuilder, Reg, StreamDesc};
 use perfclone_kernels::{by_name, Scale};
 use perfclone_repro::prelude::*;
@@ -228,34 +228,31 @@ fn run_timing_trace_is_bit_identical_across_configs() {
     assert_eq!(stats.packed_trace_lookups, configs.len() as u64);
 }
 
-/// The parallel design sweep (which fans replay cells across rayon
-/// workers) returns bit-identical results for 1, 4, and 8 worker
-/// threads — the batched replay path shares one interned metadata table
-/// across the pool, so the table must be position-independent too.
+/// The design sweep (which fans replay cells across rayon workers)
+/// reproduces the live interpreter on every (program × configuration)
+/// cell for 1, 4, and 8 worker threads — the batched replay path shares
+/// one interned metadata table across the pool, so the table must be
+/// position-independent too.
 #[test]
 fn parallel_sweep_replay_is_thread_count_invariant() {
     let program = susan_tiny();
     let clone = Cloner::new().clone_program(&program, u64::MAX).expect("clone").clone;
     let base = base_config();
-    let run =
-        |threads: usize| {
-            rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool").install(
-                || design_change_sweep_par(&program, &clone, &base, u64::MAX).expect("sweep"),
-            )
-        };
-    let serial = design_change_sweep(&program, &clone, &base, u64::MAX).expect("sweep");
-    for par in [run(1), run(4), run(8)] {
-        assert_eq!(serial.base_real.report, par.base_real.report);
-        assert_eq!(serial.base_synth.report, par.base_synth.report);
-        assert_eq!(serial.changes.len(), par.changes.len());
-        for (s, p) in serial.changes.iter().zip(&par.changes) {
-            assert_eq!(s.real.report, p.real.report);
-            assert_eq!(s.synth.report, p.synth.report);
-            assert_eq!(s.real.power.average_power.to_bits(), p.real.power.average_power.to_bits());
-            assert_eq!(
-                s.synth.power.average_power.to_bits(),
-                p.synth.power.average_power.to_bits()
-            );
+    let live = |p: &Program, c: &MachineConfig| run_timing(p, c, u64::MAX).expect("live timing");
+    let same = |a: &TimingResult, b: &TimingResult| {
+        assert_eq!(a.report, b.report);
+        assert_eq!(a.power.average_power.to_bits(), b.power.average_power.to_bits());
+    };
+    for threads in [1, 4, 8] {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+        let sweep =
+            pool.install(|| design_change_sweep(&program, &clone, &base, u64::MAX).expect("sweep"));
+        same(&live(&program, &base), &sweep.base_real);
+        same(&live(&clone, &base), &sweep.base_synth);
+        assert_eq!(sweep.changes.len(), design_changes().len());
+        for c in &sweep.changes {
+            same(&live(&program, &c.config), &c.real);
+            same(&live(&clone, &c.config), &c.synth);
         }
     }
 }
@@ -277,10 +274,7 @@ fn faulting_program_replays_as_the_same_error() {
 
 /// An over-cap workload is captured exactly once: the capture spills to
 /// disk (it never truncates) and the spilled store is memoized, so every
-/// later requester shares the same on-disk trace. (With spilling
-/// disabled — `PERFCLONE_SPILL=0`, exercised by the sim unit tests and
-/// the CI fallback smoke — the outcome is instead a memoized typed
-/// `TraceCapExceeded`.)
+/// later requester shares the same on-disk trace.
 #[test]
 fn capped_capture_is_memoized_as_spill() {
     let program = susan_tiny();
@@ -338,9 +332,9 @@ fn gate_replay_matches_direct_path() {
     let gate = Gate::default();
     let (outcome, direct) =
         Cloner::new().clone_validated(&program, u64::MAX, &gate).expect("clone validates");
-    let trace = PackedTrace::capture(&outcome.clone, gate.profile_budget);
+    let trace = TraceStore::Mem(PackedTrace::capture(&outcome.clone, gate.profile_budget));
     let replayed =
-        gate.report_replay(&outcome.profile, &outcome.clone, &trace).expect("replay gate");
+        gate.report_store(&outcome.profile, &outcome.clone, &trace).expect("replay gate");
     assert_eq!(direct, replayed, "gate replay must reproduce the direct report");
 
     // Non-halting clone: both paths exhaust the budget.
@@ -351,8 +345,8 @@ fn gate_replay_matches_direct_path() {
     b.j(top);
     let spin = b.build();
     let direct_err = tight.report(&outcome.profile, &spin).expect_err("spins");
-    let spin_trace = PackedTrace::capture(&spin, tight.profile_budget);
-    let replay_err = tight.report_replay(&outcome.profile, &spin, &spin_trace).expect_err("spins");
+    let spin_trace = TraceStore::Mem(PackedTrace::capture(&spin, tight.profile_budget));
+    let replay_err = tight.report_store(&outcome.profile, &spin, &spin_trace).expect_err("spins");
     assert!(matches!(direct_err, ValidateError::BudgetExhausted { budget: 1_000 }));
     assert!(matches!(replay_err, ValidateError::BudgetExhausted { budget: 1_000 }));
 
@@ -361,8 +355,8 @@ fn gate_replay_matches_direct_path() {
     b.nop();
     let fall = b.build();
     let direct_err = tight.report(&outcome.profile, &fall).expect_err("faults");
-    let fall_trace = PackedTrace::capture(&fall, tight.profile_budget);
-    let replay_err = tight.report_replay(&outcome.profile, &fall, &fall_trace).expect_err("faults");
+    let fall_trace = TraceStore::Mem(PackedTrace::capture(&fall, tight.profile_budget));
+    let replay_err = tight.report_store(&outcome.profile, &fall, &fall_trace).expect_err("faults");
     let (ValidateError::CloneFaulted(a), ValidateError::CloneFaulted(b)) = (direct_err, replay_err)
     else {
         panic!("both paths must report CloneFaulted");

@@ -1,23 +1,23 @@
 //! Cross-crate integration tests for the parallel design-space sweep
-//! engine: the `_par` drivers must produce results bit-identical to their
-//! serial counterparts at every thread count, the shared [`WorkloadCache`]
+//! engine: the drivers must reproduce an independent per-cell reference
+//! (the live interpreter, or per-configuration cache replay) bit for bit
+//! at every thread count, the shared [`WorkloadCache`]
 //! must hand out one `Arc` per workload no matter how many sweep cells ask
 //! for it, and everything that crosses a thread boundary must be
 //! `Send + Sync`.
 
 use std::sync::Arc;
 
-use perfclone::experiments::{
-    cache_sweep_pair, cache_sweep_pair_par, design_change_sweep, design_change_sweep_par,
-};
-use perfclone::suite::{suite_mark, suite_mark_par, Suite};
+use perfclone::experiments::{cache_sweep_pair, design_change_sweep};
+use perfclone::suite::{suite_mark, Suite};
 use perfclone::{
-    base_config, cache_sweep, derive_cell_seed, sweep_trace, AddressTrace, CacheConfig, Cloner,
-    Gate, MachineConfig, SynthesisParams, TimingResult, WorkloadCache, WorkloadProfile,
+    base_config, cache_sweep, derive_cell_seed, design_changes, run_timing, sweep_trace,
+    AddressTrace, CacheConfig, Cloner, Gate, MachineConfig, SynthesisParams, TimingResult,
+    WorkloadCache, WorkloadProfile,
 };
 use perfclone_isa::Program;
 use perfclone_kernels::{catalog, Scale};
-use perfclone_uarch::{run_par, sweep_dcache};
+use perfclone_uarch::{run_par, sweep_dcache, sweep_dcache_replay};
 use rayon::prelude::*;
 
 /// Everything handed to a rayon task must cross threads.
@@ -53,32 +53,55 @@ fn uarch_run_par_matches_serial_at_every_width() {
     }
 }
 
+fn assert_same_timing(reference: &TimingResult, got: &TimingResult, what: &str) {
+    assert_eq!(reference.report, got.report, "{what}: pipeline report");
+    assert_eq!(
+        reference.power.average_power.to_bits(),
+        got.power.average_power.to_bits(),
+        "{what}"
+    );
+    assert_eq!(reference.power.total_energy.to_bits(), got.power.total_energy.to_bits(), "{what}");
+}
+
+/// The core drivers against references that share none of their
+/// machinery: `cache_sweep_pair` against one full functional replay per
+/// configuration, `design_change_sweep` against the live interpreter on
+/// every (program × configuration) cell.
 #[test]
 fn core_parallel_drivers_are_bit_identical_to_serial() {
     let (name, program) = tiny_program(1);
     let clone = Cloner::new().clone_program(&program, u64::MAX).expect("clone").clone;
     let configs = cache_sweep();
+    let mpi = |p: &Program| -> Vec<f64> {
+        sweep_dcache_replay(p, &configs, u64::MAX).iter().map(|pt| pt.mpi()).collect()
+    };
+    let (real_mpi, synth_mpi) = (mpi(&program), mpi(&clone));
+    let mut machines = vec![base_config()];
+    machines.extend(design_changes());
+    let timing: Vec<(TimingResult, TimingResult)> = machines
+        .iter()
+        .map(|c| {
+            let real = run_timing(&program, c, u64::MAX).expect("real timing");
+            (real, run_timing(&clone, c, u64::MAX).expect("clone timing"))
+        })
+        .collect();
 
-    let serial = cache_sweep_pair(&program, &clone, &configs, u64::MAX);
-    let serial_design = design_change_sweep(&program, &clone, &base_config(), u64::MAX).unwrap();
-    for jobs in [1, 4] {
+    for jobs in [1, 4, 8] {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(jobs).build().unwrap();
-        let par = pool.install(|| cache_sweep_pair_par(&program, &clone, &configs, u64::MAX));
-        assert_eq!(serial.real_mpi, par.real_mpi, "{name}: real MPI, jobs={jobs}");
-        assert_eq!(serial.synth_mpi, par.synth_mpi, "{name}: clone MPI, jobs={jobs}");
+        let sweep = pool.install(|| cache_sweep_pair(&program, &clone, &configs, u64::MAX));
+        assert_eq!(sweep.real_mpi, real_mpi, "{name}: real MPI, jobs={jobs}");
+        assert_eq!(sweep.synth_mpi, synth_mpi, "{name}: clone MPI, jobs={jobs}");
 
-        let par_design = pool
-            .install(|| design_change_sweep_par(&program, &clone, &base_config(), u64::MAX))
+        let design = pool
+            .install(|| design_change_sweep(&program, &clone, &base_config(), u64::MAX))
             .unwrap();
-        assert_eq!(serial_design.base_real.report.cycles, par_design.base_real.report.cycles);
-        for (s, p) in serial_design.changes.iter().zip(&par_design.changes) {
-            assert_eq!(s.real.report.cycles, p.real.report.cycles, "jobs={jobs}");
-            assert_eq!(s.synth.report.cycles, p.synth.report.cycles, "jobs={jobs}");
-            assert_eq!(
-                s.real.power.average_power.to_bits(),
-                p.real.power.average_power.to_bits(),
-                "jobs={jobs}"
-            );
+        assert_same_timing(&timing[0].0, &design.base_real, &format!("base real, jobs={jobs}"));
+        assert_same_timing(&timing[0].1, &design.base_synth, &format!("base clone, jobs={jobs}"));
+        assert_eq!(design.changes.len(), machines.len() - 1);
+        for ((real, synth), change) in timing[1..].iter().zip(&design.changes) {
+            let what = format!("{}, jobs={jobs}", change.config.name);
+            assert_same_timing(real, &change.real, &what);
+            assert_same_timing(synth, &change.synth, &what);
         }
     }
 }
@@ -100,9 +123,16 @@ fn suite_pipeline_is_deterministic_across_thread_counts_and_runs() {
         pool.install(|| {
             let clones = suite.clone_suite_par(&cloner, root_seed, &Gate::default()).unwrap();
             let mark = suite_mark(&clones, &base_config(), u64::MAX).unwrap();
-            let mark_par = suite_mark_par(&clones, &base_config(), u64::MAX).unwrap();
-            assert_eq!(mark.ipc_mark.to_bits(), mark_par.ipc_mark.to_bits());
-            assert_eq!(mark.power_mark.to_bits(), mark_par.power_mark.to_bits());
+            // Reference: the weighted means over per-member interpreter runs.
+            let (mut log_sum, mut power_sum, mut weight_sum) = (0.0, 0.0, 0.0);
+            for (p, w) in clones.entries() {
+                let t = run_timing(p, &base_config(), u64::MAX).unwrap();
+                log_sum += w * t.report.ipc().ln();
+                power_sum += w * t.power.average_power;
+                weight_sum += w;
+            }
+            assert_eq!(mark.ipc_mark.to_bits(), (log_sum / weight_sum).exp().to_bits());
+            assert_eq!(mark.power_mark.to_bits(), (power_sum / weight_sum).to_bits());
             let members: Vec<String> =
                 clones.entries().map(|(p, w)| format!("{w} {p:?}")).collect();
             format!("{} {} {members:?}", mark.ipc_mark, mark.power_mark)
