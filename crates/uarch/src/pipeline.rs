@@ -10,7 +10,7 @@
 //! bubble without executing wrong-path instructions.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::error::Error as StdError;
 use std::fmt;
 
@@ -31,44 +31,6 @@ fn exec_latency(class: InstrClass) -> u32 {
         InstrClass::FpMul => 4,
         InstrClass::FpDiv => 12,
         InstrClass::Load | InstrClass::Store => 1, // address generation
-    }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EntryState {
-    Waiting,
-    Executing { done_at: u64 },
-    Done,
-}
-
-/// Fixed-capacity producer list. An instruction reads at most three
-/// registers ([`perfclone_isa::Instr::uses`] caps its `OperandList` at 3),
-/// so the sequence numbers of its producers always fit inline — keeping
-/// [`RobEntry`] `Copy` and the rename/issue paths free of heap traffic.
-/// Readiness is checked lazily at issue time ([`Pipeline::producer_done`])
-/// instead of by broadcasting wakeups through the window, so the list is
-/// immutable once built.
-#[derive(Clone, Copy, Debug, Default)]
-struct DepList {
-    seqs: [u64; 3],
-    len: u8,
-}
-
-impl DepList {
-    #[inline]
-    fn contains(&self, seq: u64) -> bool {
-        self.seqs[..usize::from(self.len)].contains(&seq)
-    }
-
-    #[inline]
-    fn push(&mut self, seq: u64) {
-        self.seqs[usize::from(self.len)] = seq;
-        self.len += 1;
-    }
-
-    #[inline]
-    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.seqs[..usize::from(self.len)].iter().copied()
     }
 }
 
@@ -232,8 +194,13 @@ impl<S: RecordSource> Feed<S> {
 struct RobEntry {
     seq: u64,
     class: InstrClass,
-    state: EntryState,
-    deps: DepList,
+    /// Finished executing; commit may retire it.
+    done: bool,
+    /// For a load: one past the sequence number of the youngest older
+    /// overlapping store in the ROB at dispatch, or 0 when there is none.
+    /// Stores commit in order, so the load forwards iff that store is
+    /// still in the ROB when the load issues (`fwd_end > front_seq`).
+    fwd_end: u64,
     is_store: bool,
     is_load: bool,
     addr: u64,
@@ -244,20 +211,12 @@ struct RobEntry {
 }
 
 impl RobEntry {
-    fn overlaps(&self, other: &RobEntry) -> bool {
-        let a0 = self.addr;
-        let a1 = self.addr + u64::from(self.bytes);
-        let b0 = other.addr;
-        let b1 = other.addr + u64::from(other.bytes);
-        a0 < b1 && b0 < a1
-    }
-
     /// Slab filler for [`Window`]; never observed by the model.
     const EMPTY: RobEntry = RobEntry {
         seq: 0,
         class: InstrClass::IntAlu,
-        state: EntryState::Waiting,
-        deps: DepList { seqs: [0; 3], len: 0 },
+        done: false,
+        fwd_end: 0,
         is_store: false,
         is_load: false,
         addr: 0,
@@ -268,10 +227,21 @@ impl RobEntry {
     };
 }
 
+/// A store in the ROB, as a dispatching load checks it: the store queue
+/// holds these oldest first, so the check walks stores only, not the ROB.
+#[derive(Clone, Copy, Debug)]
+struct StoreRef {
+    seq: u64,
+    addr: u64,
+    end: u64,
+}
+
 /// Fixed-capacity power-of-two ring holding the in-flight window. The
 /// capacity covers the configured ROB plus fetch queue, so pushes guarded
 /// by those limits can never overflow; indexing is a mask and an add with
-/// none of `VecDeque`'s wrap/bounds branching on the scan-heavy hot path.
+/// none of `VecDeque`'s wrap/bounds branching. Sequence numbers start at 0
+/// and every fetched entry is pushed once, in order, so an entry's slot is
+/// its sequence number masked to the capacity.
 #[derive(Debug)]
 struct Window {
     slab: Box<[RobEntry]>,
@@ -326,26 +296,128 @@ impl Window {
     }
 
     #[inline]
-    fn get(&self, i: usize) -> Option<&RobEntry> {
-        (i < self.len).then(|| &self.slab[(self.head + i) & self.mask])
-    }
-
-    #[inline]
-    fn get_mut(&mut self, i: usize) -> Option<&mut RobEntry> {
-        (i < self.len).then(|| &mut self.slab[(self.head + i) & self.mask])
-    }
-
-    #[inline]
     fn at(&self, i: usize) -> &RobEntry {
         debug_assert!(i < self.len);
         &self.slab[(self.head + i) & self.mask]
     }
 
+    /// The slot holding sequence number `seq`.
     #[inline]
-    fn at_mut(&mut self, i: usize) -> &mut RobEntry {
-        debug_assert!(i < self.len);
-        &mut self.slab[(self.head + i) & self.mask]
+    fn slot(&self, seq: u64) -> usize {
+        seq as usize & self.mask
     }
+}
+
+/// Event-driven readiness over window slots. An entry subscribes to each
+/// producer that has not finished by setting its bit in that producer's
+/// consumer mask, and counts the producers it waits on: at rename, the
+/// last writers of its source registers; at dispatch, for a load, every
+/// older overlapping store. When a producer finishes,
+/// [`finish`](WakeSets::finish) walks its mask and decrements each
+/// consumer's count; a consumer reaching zero sets its bit in the ready
+/// set, which issue walks oldest-first with `trailing_zeros`. Per-cycle
+/// issue cost is O(ready + woken), not O(window).
+#[derive(Debug)]
+struct WakeSets {
+    /// `u64` words per slot bitset: `cap / 64`, at least one.
+    words: usize,
+    /// Dispatched, unissued entries with no unfinished producer.
+    ready: Box<[u64]>,
+    /// Bits set in `ready`, so issue skips the walk when it is empty.
+    ready_len: u32,
+    /// `words` words per producer slot: the consumer slots waiting on it.
+    consumers: Box<[u64]>,
+    /// Unfinished producers per consumer slot.
+    pending: Box<[u32]>,
+}
+
+impl WakeSets {
+    fn new(cap: usize) -> WakeSets {
+        let words = cap.div_ceil(64);
+        WakeSets {
+            words,
+            ready: vec![0; words].into_boxed_slice(),
+            ready_len: 0,
+            consumers: vec![0; cap * words].into_boxed_slice(),
+            pending: vec![0; cap].into_boxed_slice(),
+        }
+    }
+
+    /// Subscribes consumer slot `c` to producer slot `p` if `live`,
+    /// returning 1 when that added a subscription and 0 otherwise, so no
+    /// producer is counted twice. Branch-free: which producers are still
+    /// live is data-dependent and predicts poorly.
+    #[inline]
+    fn subscribe(&mut self, p: usize, c: usize, live: bool) -> u32 {
+        let word = &mut self.consumers[p * self.words + c / 64];
+        let bit = u64::from(live) << (c % 64);
+        let fresh = bit & !*word;
+        *word |= bit;
+        u32::from(fresh != 0)
+    }
+
+    /// Starts slot `c`'s count at rename: its unfinished register
+    /// producers plus a dispatch token, so that it cannot become ready
+    /// while it is still in the fetch queue.
+    #[inline]
+    fn hold(&mut self, c: usize, producers: u32) {
+        self.pending[c] = producers + 1;
+    }
+
+    /// Dispatches slot `c`: adds the `stores` it waits on and drops the
+    /// dispatch token.
+    #[inline]
+    fn release(&mut self, c: usize, stores: u32) {
+        let pending = self.pending[c] + stores - 1;
+        self.pending[c] = pending;
+        self.set_ready_if(c, pending == 0);
+    }
+
+    #[inline]
+    fn is_ready(&self, c: usize) -> bool {
+        self.ready[c / 64] & (1 << (c % 64)) != 0
+    }
+
+    /// Sets slot `c`'s ready bit if `ready`, without branching on it.
+    #[inline]
+    fn set_ready_if(&mut self, c: usize, ready: bool) {
+        self.ready[c / 64] |= u64::from(ready) << (c % 64);
+        self.ready_len += u32::from(ready);
+    }
+
+    #[inline]
+    fn clear_ready(&mut self, c: usize) {
+        self.ready[c / 64] &= !(1 << (c % 64));
+        self.ready_len -= 1;
+    }
+
+    /// Producer slot `p` finished: counts down each of its consumers.
+    #[inline]
+    fn finish(&mut self, p: usize) {
+        for k in 0..self.words {
+            let i = p * self.words + k;
+            let mut mask = self.consumers[i];
+            if mask == 0 {
+                continue;
+            }
+            self.consumers[i] = 0;
+            while mask != 0 {
+                let c = k * 64 + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                self.pending[c] -= 1;
+                self.set_ready_if(c, self.pending[c] == 0);
+            }
+        }
+    }
+}
+
+/// Functional units still free in the current issue cycle.
+struct FreeUnits {
+    int_alu: u32,
+    int_mul: u32,
+    fp_alu: u32,
+    fp_mul: u32,
+    mem_ports: u32,
 }
 
 /// Per-structure activity counts for the power model.
@@ -495,36 +567,17 @@ pub struct Pipeline {
     /// [`writeback`](Pipeline::writeback) promotes exactly the heap
     /// entries with `done_at <= cycle` instead of scanning the window.
     done_heap: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Every entry with a sequence number below this is known not to be
-    /// Waiting (entries never revert to Waiting), so the issue scan can
-    /// start past the already-issued prefix of the window.
-    waiting_head_seq: u64,
-    /// Waiting entries currently in the ROB: lets [`issue`](Pipeline::issue)
-    /// skip its window scan entirely on cycles with nothing to issue.
-    rob_waiting: u32,
-    /// Store entries currently in the ROB (any state): when zero, a load's
-    /// forwarding scan in [`load_latency`](Pipeline::load_latency) cannot
-    /// match and is skipped.
-    store_count: u32,
-    /// Store entries in the ROB that have not finished executing: when
-    /// zero, [`load_ready`](Pipeline::load_ready) cannot find a blocking
-    /// older store and returns without scanning.
-    pending_stores: u32,
-    /// `true` after an issue scan that found Waiting entries but issued
-    /// nothing. The scan's outcome depends only on which entries are Done
-    /// (writeback), which entries are Waiting (dispatch), and the divider
-    /// busy times — commit only removes already-Done entries and cannot
-    /// unblock anything — so until one of those wake events the re-scan
-    /// must be fruitless too and is skipped.
-    issue_asleep: bool,
-    /// Earliest cycle a busy divider could unblock a sleeping issue scan
-    /// (`u64::MAX` when no divider was busy at sleep time).
-    issue_wake_at: u64,
+    /// Consumer masks, pending counts and the ready set over window slots.
+    wake: WakeSets,
+    /// The store queue: stores in the ROB, oldest first.
+    stores: VecDeque<StoreRef>,
 }
 
 impl Pipeline {
     /// Creates a pipeline with cold caches and predictor.
     pub fn new(config: MachineConfig) -> Pipeline {
+        let rob = Window::new((config.rob_size + config.fetch_queue) as usize);
+        let wake = WakeSets::new(rob.slab.len());
         Pipeline {
             config,
             l1i: Cache::new(config.l1i),
@@ -532,7 +585,7 @@ impl Pipeline {
             l2: Cache::new(config.l2),
             bpred: BranchPredictor::new(config.predictor),
             cycle: 0,
-            rob: Window::new((config.rob_size + config.fetch_queue) as usize),
+            rob,
             rob_len: 0,
             lsq_count: 0,
             next_seq: 0,
@@ -548,12 +601,8 @@ impl Pipeline {
             committed: 0,
             next_done_at: u64::MAX,
             done_heap: BinaryHeap::with_capacity(config.rob_size as usize + 1),
-            waiting_head_seq: 0,
-            rob_waiting: 0,
-            store_count: 0,
-            pending_stores: 0,
-            issue_asleep: false,
-            issue_wake_at: 0,
+            wake,
+            stores: VecDeque::with_capacity(config.lsq_size as usize),
         }
     }
 
@@ -650,9 +699,7 @@ impl Pipeline {
             // those times is tracked exactly, so jumping there and
             // accumulating the per-cycle statistics in bulk is
             // bit-identical to stepping cycle by cycle.
-            const STALL_SKIP: bool = true;
-            let quiescent = STALL_SKIP
-                && !wrote_back
+            let quiescent = !wrote_back
                 && committed == self.committed
                 && issues == self.activity.issues
                 && dispatches == self.activity.dispatches
@@ -665,14 +712,13 @@ impl Pipeline {
                 if self.fetch_blocked_on.is_none() && self.icache_ready_at > self.cycle {
                     ev = ev.min(self.icache_ready_at);
                 }
-                if self.rob_waiting > 0 {
-                    // A waiting div/mul may be gated only on the divider.
-                    if self.int_div_busy_until > self.cycle {
-                        ev = ev.min(self.int_div_busy_until);
-                    }
-                    if self.fp_div_busy_until > self.cycle {
-                        ev = ev.min(self.fp_div_busy_until);
-                    }
+                // A ready div/mul may be gated only on the divider. When
+                // none is, the extra event merely shortens the skip.
+                if self.int_div_busy_until > self.cycle {
+                    ev = ev.min(self.int_div_busy_until);
+                }
+                if self.fp_div_busy_until > self.cycle {
+                    ev = ev.min(self.fp_div_busy_until);
                 }
                 if ev != u64::MAX && ev > self.cycle + 1 {
                     // Land one cycle short of the event so the normal loop
@@ -731,40 +777,13 @@ impl Pipeline {
         }
     }
 
-    /// A load's latency at issue time. Forwarding from an older in-flight
-    /// store was detected at issue-readiness time; if we got here with an
-    /// overlapping Done store still in the ROB, forward in one cycle. With
-    /// no store anywhere in the window the scan cannot match — skip it.
-    fn load_latency(&mut self, seq: u64, addr: u64, bytes: u8) -> u32 {
-        let b0 = addr;
-        let b1 = addr + u64::from(bytes);
-        let mut fwd = false;
-        if self.store_count > 0 {
-            for i in 0..self.rob.len() {
-                let o = self.rob.at(i);
-                if o.seq == seq {
-                    break;
-                }
-                if o.is_store && o.addr < b1 && b0 < o.addr + u64::from(o.bytes) {
-                    fwd = true;
-                    break;
-                }
-            }
-        }
-        if fwd {
-            2 // agen + forward
-        } else {
-            1 + self.data_latency(addr, false)
-        }
-    }
-
     fn commit(&mut self) {
         for _ in 0..self.config.commit_width {
             if self.rob_len == 0 {
                 break; // window front is a fetch-queue entry (or empty)
             }
             match self.rob.front() {
-                Some(e) if e.state == EntryState::Done => {}
+                Some(e) if e.done => {}
                 _ => break,
             }
             let Some(e) = self.rob.pop_front() else { break };
@@ -779,12 +798,10 @@ impl Pipeline {
                         self.l2.access(e.addr, true);
                     }
                 }
+                self.stores.pop_front();
             }
             if e.is_store || e.is_load {
                 self.lsq_count -= 1;
-            }
-            if e.is_store {
-                self.store_count -= 1;
             }
             self.activity.commits += 1;
             self.activity.regfile_writes += u64::from(e.num_defs);
@@ -799,200 +816,150 @@ impl Pipeline {
         }
         // Promote exactly the completions due by now. Promotion order
         // within a cycle is immaterial: each entry's effects (Done state,
-        // store/mispredict bookkeeping) are independent of the others'.
+        // consumer wakeups, mispredict bookkeeping) are independent of the
+        // others'.
         while let Some(&Reverse((done_at, seq))) = self.done_heap.peek() {
             if done_at > cycle {
                 break;
             }
             self.done_heap.pop();
-            let Some(front_seq) = self.rob.front().map(|e| e.seq) else { break };
-            let Some(e) = self.rob.get_mut((seq - front_seq) as usize) else { break };
+            let slot = self.rob.slot(seq);
+            let e = &mut self.rob.slab[slot];
             debug_assert_eq!(e.seq, seq, "Executing entries stay in the ROB");
-            e.state = EntryState::Done;
-            let (is_store, mispredicted) = (e.is_store, e.mispredicted);
-            // A new Done entry may satisfy a sleeping scan's deps.
-            self.issue_asleep = false;
-            if is_store {
-                self.pending_stores -= 1;
-            }
-            if mispredicted && self.fetch_blocked_on == Some(seq) {
+            e.done = true;
+            if e.mispredicted && self.fetch_blocked_on == Some(seq) {
                 self.fetch_blocked_on = None;
             }
+            self.wake.finish(slot);
         }
         self.next_done_at = self.done_heap.peek().map_or(u64::MAX, |&Reverse((d, _))| d);
     }
 
+    /// Sequence number of the window's oldest entry: the window holds the
+    /// contiguous range `[front_seq, next_seq)`.
+    #[inline]
+    fn front_seq(&self) -> u64 {
+        self.next_seq - self.rob.len() as u64
+    }
+
     /// `true` when the producer with sequence number `w` has finished
-    /// execution (or already committed). O(1): the window holds the
-    /// contiguous in-flight range `[oldest, next_seq)`, so a sequence
-    /// number below the window head has committed, one inside the ROB
-    /// partition is found by direct indexing, and one at or beyond the
-    /// partition is still in the fetch queue (never executed).
+    /// execution (or already committed). Every older entry is either
+    /// committed (below `front_seq`) or in the window, so the answer is
+    /// one slot lookup.
     #[inline]
-    fn producer_done(&self, w: u64) -> bool {
-        let Some(front) = self.rob.front() else { return true };
-        if w < front.seq {
-            return true;
-        }
-        let idx = (w - front.seq) as usize;
-        if idx >= self.rob_len {
-            return false; // still in the fetch-queue partition
-        }
-        match self.rob.get(idx) {
-            Some(p) => {
-                debug_assert_eq!(p.seq, w, "window seq range must be contiguous");
-                p.state == EntryState::Done
-            }
-            None => false,
-        }
+    fn producer_done(&self, front_seq: u64, w: u64) -> bool {
+        (w < front_seq) | self.rob.slab[self.rob.slot(w)].done
     }
 
-    /// `true` when every producer of ROB entry `idx` has finished.
-    #[inline]
-    fn deps_satisfied(&self, idx: usize) -> bool {
-        self.rob.at(idx).deps.iter().all(|w| self.producer_done(w))
-    }
-
+    /// Issues ready entries oldest-first under the per-class unit budgets.
     fn issue(&mut self) {
-        if self.rob_waiting == 0 {
-            // Nothing in the window is Waiting; the scan below could only
-            // walk and find nothing. (The waiting-head hint stays valid:
-            // entries never revert to Waiting.)
+        if self.wake.ready_len == 0 {
             return;
         }
-        if self.issue_asleep && self.cycle < self.issue_wake_at {
-            // The last scan was fruitless and no wake event (writeback
-            // promotion, dispatch, divider release) has occurred since:
-            // the re-scan would be fruitless too.
+        let front_seq = self.front_seq();
+        let c = &self.config;
+        // Every issue takes one unit, so issue also ends when all are busy.
+        let units = [c.int_alu, c.int_mul, c.fp_alu, c.fp_mul, c.mem_ports];
+        let mut budget = c.issue_width.min(units.into_iter().fold(0, u32::saturating_add));
+        if budget == 0 {
             return;
         }
-        self.issue_asleep = false;
-        let mut budget = self.config.issue_width;
-        let mut int_alu_free = self.config.int_alu;
-        let mut int_mul_free = self.config.int_mul;
-        let mut fp_alu_free = self.config.fp_alu;
-        let mut fp_mul_free = self.config.fp_mul;
-        let mut mem_ports_free = self.config.mem_ports;
-        let cycle = self.cycle;
-
-        let Some(front_seq) = self.rob.front().map(|e| e.seq) else { return };
-        // Entries below the waiting-head hint are known issued; start past
-        // them. The hint is re-established from this scan's outcome below.
-        let mut idx = (self.waiting_head_seq.saturating_sub(front_seq)) as usize;
-        let mut first_still_waiting: Option<u64> = None;
-        while idx < self.rob_len && budget > 0 {
-            let (state, class) = {
-                let e = self.rob.at(idx);
-                (e.state, e.class)
-            };
-            if state != EntryState::Waiting {
-                idx += 1;
-                continue;
-            }
-            let unit_ok = match class {
-                InstrClass::IntAlu | InstrClass::Branch | InstrClass::Jump => int_alu_free > 0,
-                InstrClass::IntMul => int_mul_free > 0 && self.int_div_busy_until <= cycle,
-                InstrClass::IntDiv => int_mul_free > 0 && self.int_div_busy_until <= cycle,
-                InstrClass::FpAlu => fp_alu_free > 0,
-                InstrClass::FpMul => fp_mul_free > 0 && self.fp_div_busy_until <= cycle,
-                InstrClass::FpDiv => fp_mul_free > 0 && self.fp_div_busy_until <= cycle,
-                InstrClass::Load | InstrClass::Store => mem_ports_free > 0,
-            };
-            let ready = unit_ok && self.deps_satisfied(idx) && self.load_ready(idx);
-            if ready {
-                // Extract the latency inputs as scalars rather than copying
-                // the whole entry out of the ROB to satisfy the borrow.
-                let (is_load, seq, addr, bytes) = {
-                    let e = self.rob.at(idx);
-                    (e.is_load, e.seq, e.addr, e.bytes)
-                };
-                let lat =
-                    if is_load { self.load_latency(seq, addr, bytes) } else { exec_latency(class) };
-                let done_at = cycle + u64::from(lat);
-                self.next_done_at = self.next_done_at.min(done_at);
-                self.done_heap.push(Reverse((done_at, front_seq + idx as u64)));
-                let e = self.rob.at_mut(idx);
-                e.state = EntryState::Executing { done_at };
-                self.rob_waiting -= 1;
+        let mut free = FreeUnits {
+            int_alu: c.int_alu,
+            int_mul: c.int_mul,
+            fp_alu: c.fp_alu,
+            fp_mul: c.fp_mul,
+            mem_ports: c.mem_ports,
+        };
+        if c.issue_policy == IssuePolicy::InOrder {
+            // Issue proceeds in program order from sequence number 0, so
+            // the oldest unissued entry is the one numbered by the issue
+            // count. Its slot's ready bit is clear unless it is dispatched
+            // and its producers have finished.
+            while budget > 0 {
+                let slot = self.rob.slot(self.activity.issues);
+                if !self.wake.is_ready(slot) || !self.try_issue(slot, front_seq, &mut free) {
+                    return;
+                }
                 budget -= 1;
-                self.activity.issues += 1;
-                self.activity.regfile_reads += u64::from(e.num_uses);
-                match e.class {
-                    InstrClass::IntAlu | InstrClass::Branch | InstrClass::Jump => {
-                        int_alu_free -= 1;
-                        self.activity.int_alu_ops += 1;
-                    }
-                    InstrClass::IntMul => {
-                        int_mul_free -= 1;
-                        self.activity.int_mul_ops += 1;
-                    }
-                    InstrClass::IntDiv => {
-                        int_mul_free -= 1;
-                        self.int_div_busy_until = cycle + u64::from(lat);
-                        self.activity.int_mul_ops += 1;
-                    }
-                    InstrClass::FpAlu => {
-                        fp_alu_free -= 1;
-                        self.activity.fp_alu_ops += 1;
-                    }
-                    InstrClass::FpMul => {
-                        fp_mul_free -= 1;
-                        self.activity.fp_mul_ops += 1;
-                    }
-                    InstrClass::FpDiv => {
-                        fp_mul_free -= 1;
-                        self.fp_div_busy_until = cycle + u64::from(lat);
-                        self.activity.fp_mul_ops += 1;
-                    }
-                    InstrClass::Load | InstrClass::Store => {
-                        mem_ports_free -= 1;
-                    }
-                }
-            } else {
-                if first_still_waiting.is_none() {
-                    first_still_waiting = Some(front_seq + idx as u64);
-                }
-                if self.config.issue_policy == IssuePolicy::InOrder {
-                    // In-order issue: stop at the first instruction that
-                    // cannot issue this cycle.
-                    break;
-                }
             }
-            idx += 1;
+            return;
         }
-        // Everything scanned before the first still-Waiting entry issued;
-        // if the scan ran dry, everything up to the scan end is non-Waiting.
-        self.waiting_head_seq = first_still_waiting.unwrap_or(front_seq + idx as u64);
-        if budget == self.config.issue_width {
-            // Issued nothing: sleep until a wake event. A busy divider can
-            // unblock a waiting mul/div purely by time passing, so cap the
-            // sleep at its release.
-            self.issue_asleep = true;
-            let mut wake = u64::MAX;
-            if self.int_div_busy_until > cycle {
-                wake = wake.min(self.int_div_busy_until);
+        // Out of order: walk the ready set in ring order from the head
+        // slot. The head word's bits at and above the head come first,
+        // then the following words, then the head word's low bits: the
+        // slots that wrapped around the ring, which hold the youngest
+        // entries.
+        let words = self.wake.words; // a power of two, as the capacity is
+        let (head_word, head_bit) = (self.rob.head / 64, self.rob.head % 64);
+        for k in 0..=words {
+            let w = (head_word + k) & (words - 1);
+            let mut bits = self.wake.ready[w];
+            if k == 0 {
+                bits &= u64::MAX << head_bit;
+            } else if k == words {
+                bits &= (1 << head_bit) - 1;
             }
-            if self.fp_div_busy_until > cycle {
-                wake = wake.min(self.fp_div_busy_until);
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.try_issue(slot, front_seq, &mut free) {
+                    budget -= 1;
+                    if budget == 0 {
+                        return;
+                    }
+                }
             }
-            self.issue_wake_at = wake;
         }
     }
 
-    /// Loads may not issue past an older overlapping store that has not
-    /// finished address generation/execution.
-    fn load_ready(&self, idx: usize) -> bool {
-        // With no unfinished store anywhere in the window, no older store
-        // can block: skip the O(idx) scan.
-        if !self.rob.at(idx).is_load || self.pending_stores == 0 {
-            return true;
+    /// Issues the ready entry in `slot` if its functional unit (and, for a
+    /// multiply or divide, its divider) is free; returns whether it did.
+    fn try_issue(&mut self, slot: usize, front_seq: u64, free: &mut FreeUnits) -> bool {
+        let cycle = self.cycle;
+        let e = &self.rob.slab[slot];
+        let (seq, class, is_load, fwd_end, addr) = (e.seq, e.class, e.is_load, e.fwd_end, e.addr);
+        let num_uses = e.num_uses;
+        let (unit, divider) = match class {
+            InstrClass::IntAlu | InstrClass::Branch | InstrClass::Jump => (&mut free.int_alu, 0),
+            InstrClass::IntMul | InstrClass::IntDiv => (&mut free.int_mul, self.int_div_busy_until),
+            InstrClass::FpAlu => (&mut free.fp_alu, 0),
+            InstrClass::FpMul | InstrClass::FpDiv => (&mut free.fp_mul, self.fp_div_busy_until),
+            InstrClass::Load | InstrClass::Store => (&mut free.mem_ports, 0),
+        };
+        if *unit == 0 || divider > cycle {
+            return false;
         }
-        let load = self.rob.at(idx);
-        for i in 0..idx {
-            let older = self.rob.at(i);
-            if older.is_store && older.overlaps(load) && older.state != EntryState::Done {
-                return false;
+        *unit -= 1;
+        self.wake.clear_ready(slot);
+        let lat = if !is_load {
+            exec_latency(class)
+        } else if fwd_end > front_seq {
+            2 // agen + forward from a store still in the ROB
+        } else {
+            1 + self.data_latency(addr, false)
+        };
+        let done_at = cycle + u64::from(lat);
+        self.next_done_at = self.next_done_at.min(done_at);
+        self.done_heap.push(Reverse((done_at, seq)));
+        self.activity.issues += 1;
+        self.activity.regfile_reads += u64::from(num_uses);
+        match class {
+            InstrClass::IntAlu | InstrClass::Branch | InstrClass::Jump => {
+                self.activity.int_alu_ops += 1;
             }
+            InstrClass::IntMul => self.activity.int_mul_ops += 1,
+            InstrClass::IntDiv => {
+                self.int_div_busy_until = done_at;
+                self.activity.int_mul_ops += 1;
+            }
+            InstrClass::FpAlu => self.activity.fp_alu_ops += 1,
+            InstrClass::FpMul => self.activity.fp_mul_ops += 1,
+            InstrClass::FpDiv => {
+                self.fp_div_busy_until = done_at;
+                self.activity.fp_mul_ops += 1;
+            }
+            InstrClass::Load | InstrClass::Store => {}
         }
         true
     }
@@ -1005,33 +972,47 @@ impl Pipeline {
             if self.rob_len >= self.config.rob_size as usize {
                 break;
             }
-            let front = self.rob.at(self.rob_len);
-            let is_mem = front.is_load || front.is_store;
+            let e = self.rob.at(self.rob_len);
+            let (seq, is_load, is_store, addr) = (e.seq, e.is_load, e.is_store, e.addr);
+            let end = addr + u64::from(e.bytes);
+            let is_mem = is_load || is_store;
             if is_mem && self.lsq_count >= self.config.lsq_size {
                 break;
             }
-            let is_store = front.is_store;
             // Admit the entry by moving the partition: no data moves.
             self.rob_len += 1;
             if is_mem {
                 self.lsq_count += 1;
             }
-            if is_store {
-                self.store_count += 1;
-                self.pending_stores += 1;
+            let slot = self.rob.slot(seq);
+            let mut stores = 0;
+            if is_load {
+                // A load waits for every older overlapping store to finish,
+                // and forwards from the youngest if it is still in the ROB
+                // when the load issues.
+                let front_seq = self.front_seq();
+                let mut fwd_end = 0;
+                for st in self.stores.iter().rev() {
+                    if st.addr < end && addr < st.end {
+                        fwd_end = fwd_end.max(st.seq + 1);
+                        let live = !self.producer_done(front_seq, st.seq);
+                        stores += self.wake.subscribe(self.rob.slot(st.seq), slot, live);
+                    }
+                }
+                self.rob.slab[slot].fwd_end = fwd_end;
             }
-            self.rob_waiting += 1;
+            if is_store {
+                self.stores.push_back(StoreRef { seq, addr, end });
+            }
+            self.wake.release(slot, stores);
             self.activity.dispatches += 1;
-            // A new Waiting entry may be issuable where the rest are not.
-            self.issue_asleep = false;
         }
     }
 
     fn fetch<S: RecordSource>(&mut self, trace: &mut Feed<S>) {
-        if let Some(seq) = self.fetch_blocked_on {
+        if self.fetch_blocked_on.is_some() {
             // Blocked until the mispredicted branch resolves; writeback
             // clears the block.
-            let _ = seq;
             self.activity.mispredict_stall_cycles += 1;
             return;
         }
@@ -1064,22 +1045,24 @@ impl Pipeline {
             self.next_seq += 1;
             self.activity.fetches += 1;
 
-            // Rename: record the last writer of each source register.
-            // Whether that producer is still in flight is resolved lazily
-            // at issue time ([`producer_done`](Pipeline::producer_done)).
-            let mut deps = DepList::default();
+            // Rename: subscribe to the last writer of each source
+            // register that has not finished. A register read twice
+            // subscribes once.
+            let slot = self.rob.slot(seq);
+            let front_seq = seq - self.rob.len() as u64; // not yet pushed
+            let mut producers = 0;
             for &u in d.uses() {
                 if let Some(w) = self.last_writer[usize::from(u)] {
-                    if !deps.contains(w) {
-                        deps.push(w);
-                    }
+                    let live = !self.producer_done(front_seq, w);
+                    producers += self.wake.subscribe(self.rob.slot(w), slot, live);
                 }
             }
+            self.wake.hold(slot, producers);
             let mut entry = RobEntry {
                 seq,
                 class: d.class,
-                state: EntryState::Waiting,
-                deps,
+                done: false,
+                fwd_end: 0,
                 is_store: d.is_store,
                 is_load: d.is_load,
                 addr: d.addr,
