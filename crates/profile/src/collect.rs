@@ -1,17 +1,31 @@
 //! The online profile collector.
 //!
-//! Hot-path note: every per-retired-instruction table — the `(pred, cur)`
-//! context map, the edge map, the per-stream stride/run maps, and above
-//! all the store-chunk `mem_writer` table — is keyed by small integers
-//! the profiler itself produces, never by attacker-controlled data, so
-//! they use the deterministic multiply-rotate [`FxHashMap`] instead of
-//! `std`'s SipHash map. Profile output is unaffected: every map either
-//! has hash-independent insertion logic or is sorted (or reduced by a
-//! total order) before it reaches the [`WorkloadProfile`].
+//! Hot-path note: the collector sees every retired instruction, twice per
+//! validated clone (the source program, then the gate's re-profile of the
+//! clone), so no hash-map operation runs on every record:
+//!
+//! * a dense pc-indexed table (`PcSlot`) holds each pc's static facts
+//!   (class, register slots, branch and block-end flags, access kind and
+//!   width) next to its interned node, stream and branch ids;
+//! * each `(pred, node)` context is interned once per block entry, behind
+//!   a last-predecessor cache per node, and records index it by id;
+//! * the store→load writer table is a paged shadow of the address space
+//!   (`ShadowMemory`) with a direct-mapped page cache in front;
+//! * each stream keeps its stride counts in a `Vec` and reuses the
+//!   current stride's slot while a run continues.
+//!
+//! Ids are handed out on first touch, in the same order a per-record
+//! interner would, so the [`WorkloadProfile`] — including the order of
+//! its nodes, streams and branches — does not depend on these tables.
+//! The maps left are consulted only on a miss (context ids when a node's
+//! predecessor changes, stride ids when a run breaks, shadow pages when
+//! the page cache misses). Their keys are values the profiler itself
+//! produces, so they use the deterministic multiply-rotate
+//! [`FxHashMap`]; none reaches the output unsorted.
 
 use rustc_hash::FxHashMap;
 
-use perfclone_isa::{Instr, Program};
+use perfclone_isa::{Instr, InstrMeta, Program};
 use perfclone_sim::{DynInstr, Observer, Simulator};
 
 use crate::error::ProfileError;
@@ -21,12 +35,50 @@ use crate::model::{
 };
 
 /// Cap on distinct strides tracked per static memory instruction; a real
-/// profiler bounds its tables the same way.
+/// profiler bounds its tables the same way. A stride first seen once the
+/// table is full is never counted.
 const MAX_STRIDES: usize = 128;
 
+/// Predecessor of the first block entered.
 const ENTRY: u32 = u32::MAX;
 
-#[derive(Debug, Default)]
+/// Id of a node, stream, branch, context or stride slot not (yet) interned.
+const NONE: u32 = u32::MAX;
+
+/// One pc's static facts and interned ids.
+#[derive(Clone, Copy, Debug)]
+struct PcSlot {
+    meta: InstrMeta,
+    /// A control transfer or `halt`: the block ends here.
+    ends_block: bool,
+    is_store: bool,
+    /// Access width in bytes (0 without an access).
+    width: u8,
+    /// Node of the block starting at this pc.
+    node: u32,
+    stream: u32,
+    branch: u32,
+}
+
+impl PcSlot {
+    fn of(instr: &Instr) -> PcSlot {
+        let meta = InstrMeta::of(instr);
+        let (is_store, width) = instr
+            .mem_ref()
+            .map_or((false, 0), |(_, width, is_store)| (is_store, width.bytes() as u8));
+        PcSlot {
+            meta,
+            ends_block: meta.control || matches!(instr, Instr::Halt),
+            is_store,
+            width,
+            node: NONE,
+            stream: NONE,
+            branch: NONE,
+        }
+    }
+}
+
+#[derive(Debug)]
 struct NodeCollect {
     start_pc: u32,
     size: u32,
@@ -35,13 +87,95 @@ struct NodeCollect {
     mem_ops: Vec<u32>,
     branch: Option<u32>,
     collecting: bool,
+    /// The predecessor of the last entry and that entry's context.
+    last_pred: u32,
+    last_ctx: u32,
 }
 
-#[derive(Debug, Default)]
+impl NodeCollect {
+    fn new(start_pc: u32) -> NodeCollect {
+        NodeCollect {
+            start_pc,
+            size: 0,
+            execs: 0,
+            class_counts: [0; 10],
+            mem_ops: Vec::new(),
+            branch: None,
+            collecting: true,
+            last_pred: ENTRY,
+            last_ctx: NONE,
+        }
+    }
+}
+
+#[derive(Debug)]
 struct CtxCollect {
+    pred: u32,
+    node: u32,
     count: u64,
     reg_deps: DepHistogram,
     mem_deps: DepHistogram,
+}
+
+/// 8-byte chunks per shadow page: 4 KiB of address space.
+const SHADOW_PAGE_BITS: u32 = 9;
+const SHADOW_PAGE_CHUNKS: usize = 1 << SHADOW_PAGE_BITS;
+/// Entries of the direct-mapped page cache.
+const SHADOW_WAYS: usize = 64;
+
+/// The 1-based position of the last store to each 8-byte chunk of the
+/// address space (0: never stored). Pages are allocated on first touch,
+/// loads included, so repeated loads from read-only data hit the page
+/// cache instead of missing the page map.
+#[derive(Debug)]
+struct ShadowMemory {
+    pages: Vec<Box<[u64; SHADOW_PAGE_CHUNKS]>>,
+    page_ids: FxHashMap<u64, u32>,
+    /// Page number cached in each way (`u64::MAX`: empty; no page has
+    /// that number) and its index into `pages`.
+    tags: [u64; SHADOW_WAYS],
+    ways: [u32; SHADOW_WAYS],
+}
+
+impl ShadowMemory {
+    fn new() -> ShadowMemory {
+        ShadowMemory {
+            pages: Vec::new(),
+            page_ids: FxHashMap::default(),
+            tags: [u64::MAX; SHADOW_WAYS],
+            ways: [0; SHADOW_WAYS],
+        }
+    }
+
+    /// The writer slot of 8-byte chunk `chunk` (`addr >> 3`).
+    #[inline]
+    fn chunk(&mut self, chunk: u64) -> &mut u64 {
+        let page = chunk >> SHADOW_PAGE_BITS;
+        let way = page as usize % SHADOW_WAYS;
+        let id = if self.tags[way] == page { self.ways[way] } else { self.fill(page, way) };
+        &mut self.pages[id as usize][chunk as usize % SHADOW_PAGE_CHUNKS]
+    }
+
+    #[cold]
+    fn fill(&mut self, page: u64, way: usize) -> u32 {
+        let pages = &mut self.pages;
+        let id = *self.page_ids.entry(page).or_insert_with(|| {
+            pages.push(Box::new([0; SHADOW_PAGE_CHUNKS]));
+            (pages.len() - 1) as u32
+        });
+        self.tags[way] = page;
+        self.ways[way] = id;
+        id
+    }
+}
+
+/// One tracked stride of a stream: its count and its runs.
+#[derive(Debug)]
+struct StrideSlot {
+    stride: i64,
+    count: u64,
+    runs: u64,
+    run_len_sum: u64,
 }
 
 #[derive(Debug)]
@@ -53,11 +187,12 @@ struct StreamCollect {
     last_addr: Option<u64>,
     min_addr: u64,
     max_addr: u64,
-    stride_counts: FxHashMap<i64, u64>,
-    overflow: u64,
+    strides: Vec<StrideSlot>,
+    stride_ids: FxHashMap<i64, u32>,
     cur_stride: Option<i64>,
+    /// Slot of `cur_stride`, or [`NONE`] when the stride is not tracked.
+    cur_slot: u32,
     cur_run: u64,
-    run_stats: FxHashMap<i64, (u64, u64)>,
     fwd_breaks: u64,
     back_breaks: u64,
     back_jump_sum: u64,
@@ -73,58 +208,85 @@ impl StreamCollect {
             last_addr: None,
             min_addr: u64::MAX,
             max_addr: 0,
-            stride_counts: FxHashMap::default(),
-            overflow: 0,
+            strides: Vec::new(),
+            stride_ids: FxHashMap::default(),
             cur_stride: None,
+            cur_slot: NONE,
             cur_run: 0,
-            run_stats: FxHashMap::default(),
             fwd_breaks: 0,
             back_breaks: 0,
             back_jump_sum: 0,
         }
     }
 
+    #[inline]
     fn access(&mut self, addr: u64) {
         self.execs += 1;
         self.min_addr = self.min_addr.min(addr);
         self.max_addr = self.max_addr.max(addr);
         if let Some(last) = self.last_addr {
             let stride = addr.wrapping_sub(last) as i64;
-            if self.stride_counts.len() < MAX_STRIDES || self.stride_counts.contains_key(&stride) {
-                *self.stride_counts.entry(stride).or_insert(0) += 1;
-            } else {
-                self.overflow += 1;
-            }
-            match self.cur_stride {
-                Some(s) if s == stride => self.cur_run += 1,
-                _ => {
-                    // A run break: classify the breaking jump's direction.
-                    // Singleton runs are excursions (e.g. the jump itself);
-                    // exiting one back onto the dominant stride is a resume,
-                    // not a structural break, so only multi-access runs
-                    // classify.
-                    if self.cur_stride.is_some() && self.cur_run > 1 {
-                        if stride < 0 {
-                            self.back_breaks += 1;
-                            self.back_jump_sum += stride.unsigned_abs();
-                        } else {
-                            self.fwd_breaks += 1;
-                        }
-                    }
-                    self.end_run();
-                    self.cur_stride = Some(stride);
-                    self.cur_run = 1;
+            if self.cur_stride == Some(stride) {
+                // The run continues on the slot it started on. An
+                // untracked stride has slot `NONE`, which `get_mut` misses.
+                self.cur_run += 1;
+                if let Some(s) = self.strides.get_mut(self.cur_slot as usize) {
+                    s.count += 1;
                 }
+            } else {
+                self.break_run(stride);
             }
         }
         self.last_addr = Some(addr);
     }
 
+    /// Ends the current run and starts one at `stride`.
+    fn break_run(&mut self, stride: i64) {
+        // Classify the breaking jump's direction. Singleton runs are
+        // excursions (e.g. the jump itself); exiting one back onto the
+        // dominant stride is a resume, not a structural break, so only
+        // multi-access runs classify.
+        if self.cur_stride.is_some() && self.cur_run > 1 {
+            if stride < 0 {
+                self.back_breaks += 1;
+                self.back_jump_sum += stride.unsigned_abs();
+            } else {
+                self.fwd_breaks += 1;
+            }
+        }
+        self.end_run();
+        let slot = self.slot_of(stride);
+        if let Some(s) = self.strides.get_mut(slot as usize) {
+            s.count += 1;
+        }
+        self.cur_stride = Some(stride);
+        self.cur_slot = slot;
+        self.cur_run = 1;
+    }
+
+    /// The slot tracking `stride`, admitting it while the table has room.
+    fn slot_of(&mut self, stride: i64) -> u32 {
+        if let Some(&slot) = self.stride_ids.get(&stride) {
+            return slot;
+        }
+        if self.strides.len() >= MAX_STRIDES {
+            return NONE;
+        }
+        let slot = self.strides.len() as u32;
+        self.strides.push(StrideSlot { stride, count: 0, runs: 0, run_len_sum: 0 });
+        self.stride_ids.insert(stride, slot);
+        slot
+    }
+
+    /// Closes the current run. Only tracked strides keep run statistics:
+    /// the dominant stride, the only one whose runs are reported, always
+    /// is one.
     fn end_run(&mut self) {
-        if let Some(s) = self.cur_stride.take() {
-            let e = self.run_stats.entry(s).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += self.cur_run;
+        if self.cur_stride.take().is_some() {
+            if let Some(s) = self.strides.get_mut(self.cur_slot as usize) {
+                s.runs += 1;
+                s.run_len_sum += self.cur_run;
+            }
             self.cur_run = 0;
         }
     }
@@ -134,15 +296,14 @@ impl StreamCollect {
         // Total order: highest count, then smallest magnitude, then
         // positive before negative — so profiles are deterministic even
         // when stride counts tie (e.g. a length-2 ping-pong stream).
-        let (dominant_stride, dominant_count) = self
-            .stride_counts
+        let dominant = self
+            .strides
             .iter()
-            .max_by_key(|(s, c)| (**c, std::cmp::Reverse(s.unsigned_abs()), **s >= 0))
-            .map(|(s, c)| (*s, *c))
-            .unwrap_or((0, 0));
-        let mean_run_len = match self.run_stats.get(&dominant_stride) {
-            Some(&(runs, len_sum)) if runs > 0 => len_sum as f64 / runs as f64,
-            _ => 1.0,
+            .max_by_key(|s| (s.count, std::cmp::Reverse(s.stride.unsigned_abs()), s.stride >= 0));
+        let (dominant_stride, dominant_count, mean_run_len) = match dominant {
+            Some(s) if s.runs > 0 => (s.stride, s.count, s.run_len_sum as f64 / s.runs as f64),
+            Some(s) => (s.stride, s.count, 1.0),
+            None => (0, 0, 1.0),
         };
         StreamProfile {
             pc: self.pc,
@@ -151,7 +312,7 @@ impl StreamCollect {
             dominant_stride,
             dominant_count,
             mean_run_len,
-            distinct_strides: self.stride_counts.len() as u32,
+            distinct_strides: self.strides.len() as u32,
             width: self.width,
             min_addr: if self.min_addr == u64::MAX { 0 } else { self.min_addr },
             max_addr: self.max_addr,
@@ -177,10 +338,10 @@ struct BranchCollect {
     history_hits: u64,
 }
 
-impl Default for BranchCollect {
-    fn default() -> BranchCollect {
+impl BranchCollect {
+    fn new(pc: u32) -> BranchCollect {
         BranchCollect {
-            pc: 0,
+            pc,
             execs: 0,
             taken: 0,
             transitions: 0,
@@ -193,77 +354,101 @@ impl Default for BranchCollect {
 
 /// An [`Observer`] that builds a [`WorkloadProfile`] from the retired
 /// instruction stream — the paper's "workload profiler" box (Figure 1).
+///
+/// A profiler is built for one [`Program`] and must observe only that
+/// program's records: it reads each record's static facts from a table
+/// indexed by pc, and a pc outside the program panics.
 #[derive(Debug)]
 pub struct Profiler {
     name: String,
     pos: u64,
-    node_ids: FxHashMap<u32, u32>,
+    pcs: Vec<PcSlot>,
     nodes: Vec<NodeCollect>,
-    edges: FxHashMap<(u32, u32), u64>,
-    contexts: FxHashMap<(u32, u32), CtxCollect>,
+    contexts: Vec<CtxCollect>,
+    ctx_ids: FxHashMap<(u32, u32), u32>,
     cur_node: Option<u32>,
     prev_node: u32,
-    cur_ctx: (u32, u32),
+    cur_ctx: u32,
     reg_writer: [u64; 64],
-    mem_writer: FxHashMap<u64, u64>,
-    stream_ids: FxHashMap<u32, u32>,
+    mem_writer: ShadowMemory,
     streams: Vec<StreamCollect>,
-    branch_ids: FxHashMap<u32, u32>,
     branches: Vec<BranchCollect>,
     global_history: u8,
 }
 
 impl Profiler {
-    /// Creates a profiler for a program with the given name.
-    pub fn new(name: impl Into<String>) -> Profiler {
+    /// Creates a profiler for `program`.
+    pub fn new(program: &Program) -> Profiler {
         Profiler {
-            name: name.into(),
+            name: program.name().to_string(),
             pos: 0,
-            node_ids: FxHashMap::default(),
+            pcs: program.instrs().iter().map(PcSlot::of).collect(),
             nodes: Vec::new(),
-            edges: FxHashMap::default(),
-            contexts: FxHashMap::default(),
+            contexts: Vec::new(),
+            ctx_ids: FxHashMap::default(),
             cur_node: None,
             prev_node: ENTRY,
-            cur_ctx: (ENTRY, ENTRY),
+            cur_ctx: NONE,
             reg_writer: [0; 64],
-            mem_writer: FxHashMap::default(),
-            stream_ids: FxHashMap::default(),
+            mem_writer: ShadowMemory::new(),
             streams: Vec::new(),
-            branch_ids: FxHashMap::default(),
             branches: Vec::new(),
             global_history: 0,
         }
     }
 
-    fn intern_node(&mut self, start_pc: u32) -> u32 {
-        if let Some(&id) = self.node_ids.get(&start_pc) {
-            return id;
-        }
-        let id = self.nodes.len() as u32;
-        self.node_ids.insert(start_pc, id);
-        self.nodes.push(NodeCollect { start_pc, collecting: true, ..NodeCollect::default() });
-        id
+    /// Enters the block starting at `pc`: interns its node and the
+    /// `(predecessor, node)` context and counts both.
+    fn enter_block(&mut self, pc: usize) -> u32 {
+        let n = match self.pcs[pc].node {
+            NONE => {
+                let id = self.nodes.len() as u32;
+                self.nodes.push(NodeCollect::new(pc as u32));
+                self.pcs[pc].node = id;
+                id
+            }
+            id => id,
+        };
+        let pred = self.prev_node;
+        let node = &mut self.nodes[n as usize];
+        node.execs += 1;
+        let ctx = if node.last_ctx != NONE && node.last_pred == pred {
+            node.last_ctx
+        } else {
+            let contexts = &mut self.contexts;
+            let id = *self.ctx_ids.entry((pred, n)).or_insert_with(|| {
+                contexts.push(CtxCollect {
+                    pred,
+                    node: n,
+                    count: 0,
+                    reg_deps: DepHistogram::new(),
+                    mem_deps: DepHistogram::new(),
+                });
+                (contexts.len() - 1) as u32
+            });
+            node.last_pred = pred;
+            node.last_ctx = id;
+            id
+        };
+        self.contexts[ctx as usize].count += 1;
+        self.cur_node = Some(n);
+        self.cur_ctx = ctx;
+        n
     }
 
-    fn intern_stream(&mut self, pc: u32, is_store: bool, width: u8) -> u32 {
-        if let Some(&id) = self.stream_ids.get(&pc) {
-            return id;
-        }
-        let id = self.streams.len() as u32;
-        self.stream_ids.insert(pc, id);
-        self.streams.push(StreamCollect::new(pc, is_store, width));
-        id
+    /// Interns the stream of the memory instruction at `pc`, first touched.
+    fn intern_stream(&mut self, pc: usize) -> u32 {
+        let slot = &mut self.pcs[pc];
+        slot.stream = self.streams.len() as u32;
+        self.streams.push(StreamCollect::new(pc as u32, slot.is_store, slot.width));
+        slot.stream
     }
 
-    fn intern_branch(&mut self, pc: u32) -> u32 {
-        if let Some(&id) = self.branch_ids.get(&pc) {
-            return id;
-        }
-        let id = self.branches.len() as u32;
-        self.branch_ids.insert(pc, id);
-        self.branches.push(BranchCollect { pc, ..BranchCollect::default() });
-        id
+    /// Interns the conditional branch at `pc`, first touched.
+    fn intern_branch(&mut self, pc: usize) -> u32 {
+        self.pcs[pc].branch = self.branches.len() as u32;
+        self.branches.push(BranchCollect::new(pc as u32));
+        self.pcs[pc].branch
     }
 
     /// Finalizes collection into a [`WorkloadProfile`].
@@ -280,24 +465,27 @@ impl Profiler {
                 branch: n.branch,
             })
             .collect();
-        let mut edges: Vec<EdgeProfile> = self
-            .edges
-            .into_iter()
-            .map(|((from, to), count)| EdgeProfile { from, to, count })
-            .collect();
-        edges.sort_by_key(|e| (e.from, e.to));
         let mut contexts: Vec<ContextProfile> = self
             .contexts
             .into_iter()
-            .map(|((pred, node), c)| ContextProfile {
-                pred,
-                node,
+            .map(|c| ContextProfile {
+                pred: c.pred,
+                node: c.node,
                 count: c.count,
                 reg_deps: c.reg_deps,
                 mem_deps: c.mem_deps,
             })
             .collect();
         contexts.sort_by_key(|c| (c.node, c.pred));
+        // Every block entry but the first follows a real predecessor, and
+        // it counts one edge and one context alike: each edge is the count
+        // of its context.
+        let mut edges: Vec<EdgeProfile> = contexts
+            .iter()
+            .filter(|c| c.pred != ENTRY)
+            .map(|c| EdgeProfile { from: c.pred, to: c.node, count: c.count })
+            .collect();
+        edges.sort_by_key(|e| (e.from, e.to));
         let streams = self.streams.into_iter().map(StreamCollect::finish).collect();
         let branches = self
             .branches
@@ -323,77 +511,73 @@ impl Profiler {
 }
 
 impl Observer for Profiler {
+    // Inlinable across crates, so the interpreter loops of callers in
+    // other crates (the fidelity gate's re-profile) inline the collector
+    // rather than call it per record.
+    #[inline]
     fn on_retire(&mut self, d: &DynInstr) {
-        // Block entry.
+        let pc = d.pc as usize;
         let node = match self.cur_node {
             Some(n) => n,
-            None => {
-                let n = self.intern_node(d.pc);
-                self.cur_node = Some(n);
-                self.nodes[n as usize].execs += 1;
-                if self.prev_node != ENTRY {
-                    *self.edges.entry((self.prev_node, n)).or_insert(0) += 1;
-                }
-                self.cur_ctx = (self.prev_node, n);
-                self.contexts.entry(self.cur_ctx).or_default().count += 1;
-                n
-            }
+            None => self.enter_block(pc),
         };
-        let collecting = self.nodes[node as usize].collecting;
+        let slot = self.pcs[pc];
+        let stream = match (slot.meta.has_mem, slot.stream) {
+            (false, _) => None,
+            (true, NONE) => Some(self.intern_stream(pc)),
+            (true, id) => Some(id),
+        };
 
         // Static block composition (first complete visit only).
-        let mut stream_id = None;
-        if let Some((_, width, is_store)) = d.instr.mem_ref() {
-            stream_id = Some(self.intern_stream(d.pc, is_store, width.bytes() as u8));
-        }
+        let n = &mut self.nodes[node as usize];
+        let collecting = n.collecting;
         if collecting {
-            let n = &mut self.nodes[node as usize];
             n.size += 1;
-            n.class_counts[d.instr.class().index()] += 1;
-            if let Some(sid) = stream_id {
+            n.class_counts[slot.meta.class.index()] += 1;
+            if let Some(sid) = stream {
                 n.mem_ops.push(sid);
             }
         }
 
-        // Dependency distances (per context). The context was interned at
-        // block entry; `or_default` keeps this total without an `expect`.
+        // Dependency distances, charged to the context entered with the
+        // block.
         let pos = self.pos + 1; // 1-based writer positions; 0 = none
-        {
-            let ctx = self.contexts.entry(self.cur_ctx).or_default();
-            for u in d.instr.uses() {
-                let w = self.reg_writer[u.flat_index()];
-                if w != 0 {
-                    ctx.reg_deps.record(pos - w);
-                }
-            }
-            if let Some(m) = d.mem {
-                if !m.is_store {
-                    if let Some(&w) = self.mem_writer.get(&(m.addr >> 3)) {
-                        ctx.mem_deps.record(pos - w);
-                    }
-                }
+        let ctx = &mut self.contexts[self.cur_ctx as usize];
+        for &u in slot.meta.uses() {
+            let w = self.reg_writer[usize::from(u)];
+            if w != 0 {
+                ctx.reg_deps.record(pos - w);
             }
         }
-        for def in d.instr.defs() {
-            self.reg_writer[def.flat_index()] = pos;
+        for &def in slot.meta.defs() {
+            self.reg_writer[usize::from(def)] = pos;
         }
         if let Some(m) = d.mem {
             if m.is_store {
+                // Accesses are at most 8 bytes, so they span one or two
+                // chunks; the bytes wrap at the top of the address space
+                // as `Memory::write_bytes` wraps them.
                 let first = m.addr >> 3;
-                let last = (m.addr + u64::from(m.bytes) - 1) >> 3;
-                for chunk in first..=last {
-                    self.mem_writer.insert(chunk, pos);
+                let last = m.addr.wrapping_add(u64::from(m.bytes).saturating_sub(1)) >> 3;
+                *self.mem_writer.chunk(first) = pos;
+                if last != first {
+                    *self.mem_writer.chunk(last) = pos;
+                }
+            } else {
+                let w = *self.mem_writer.chunk(m.addr >> 3);
+                if w != 0 {
+                    ctx.mem_deps.record(pos - w);
                 }
             }
             // Stream stride tracking.
-            if let Some(sid) = stream_id {
+            if let Some(sid) = stream {
                 self.streams[sid as usize].access(m.addr);
             }
         }
 
         // Branch direction statistics.
-        if d.instr.is_cond_branch() {
-            let bid = self.intern_branch(d.pc);
+        if slot.meta.cond_branch {
+            let bid = if slot.branch == NONE { self.intern_branch(pc) } else { slot.branch };
             if collecting {
                 self.nodes[node as usize].branch = Some(bid);
             }
@@ -424,8 +608,7 @@ impl Observer for Profiler {
         }
 
         // Block end.
-        let ends = d.instr.is_control() || matches!(d.instr, Instr::Halt);
-        if ends {
+        if slot.ends_block {
             self.nodes[node as usize].collecting = false;
             self.prev_node = node;
             self.cur_node = None;
@@ -447,7 +630,7 @@ impl Observer for Profiler {
 /// without SFG nodes.
 pub fn profile_program(program: &Program, limit: u64) -> Result<WorkloadProfile, ProfileError> {
     let _span = perfclone_obs::span!("profile.collect");
-    let mut profiler = Profiler::new(program.name());
+    let mut profiler = Profiler::new(program);
     let mut sim = Simulator::new(program);
     sim.run_with(limit, &mut profiler)?;
     let profile = profiler.finish();
@@ -599,6 +782,26 @@ mod tests {
         }
         assert_eq!(merged.total(), 1);
         assert_eq!(merged.counts()[1], 1); // <=2 bucket
+    }
+
+    #[test]
+    fn store_wrapping_the_address_space_feeds_its_loads() {
+        // An 8-byte store at -4 writes the top 4 bytes and, wrapped, 0..4.
+        let mut b = ProgramBuilder::new("wrap");
+        b.li(r(1), -4);
+        b.li(r(4), 0);
+        b.sd(r(2), r(1), 0);
+        b.ld(r(3), r(1), 0); // distance 1, through the store's first chunk
+        b.lw(r(5), r(4), 0); // distance 2, through its wrapped chunk
+        b.halt();
+        let prof = profile_program(&b.build(), 100).unwrap();
+        let mut merged = DepHistogram::new();
+        for c in &prof.contexts {
+            merged.merge(&c.mem_deps);
+        }
+        assert_eq!(merged.total(), 2);
+        assert_eq!(merged.counts()[0], 1);
+        assert_eq!(merged.counts()[1], 1);
     }
 
     #[test]

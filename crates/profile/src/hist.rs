@@ -9,6 +9,24 @@ pub const DEP_BUCKET_EDGES: [u64; 7] = [1, 2, 4, 6, 8, 16, 32];
 /// Number of dependency-distance buckets (the seven edges plus ">32").
 pub const NUM_DEP_BUCKETS: usize = 8;
 
+/// The largest bucketed distance; longer ones fall in the ">32" bucket.
+const LAST_EDGE: u64 = DEP_BUCKET_EDGES[DEP_BUCKET_EDGES.len() - 1];
+
+/// The bucket of every distance up to [`LAST_EDGE`], derived from
+/// [`DEP_BUCKET_EDGES`] at compile time.
+const BUCKET_OF: [u8; LAST_EDGE as usize + 1] = {
+    let mut lut = [0u8; LAST_EDGE as usize + 1];
+    let (mut distance, mut bucket) = (0, 0);
+    while distance <= LAST_EDGE as usize {
+        while DEP_BUCKET_EDGES[bucket] < distance as u64 {
+            bucket += 1;
+        }
+        lut[distance] = bucket as u8;
+        distance += 1;
+    }
+    lut
+};
+
 /// A histogram over producer→consumer dependency distances, bucketed as in
 /// the paper (§3.1.3).
 ///
@@ -42,12 +60,14 @@ impl DepHistogram {
         DepHistogram { counts }
     }
 
-    /// Bucket index for a dependency distance (`distance >= 1`).
+    /// Bucket index for a dependency distance (`distance >= 1`): the
+    /// first bucket whose upper edge is at least `distance`.
     #[inline]
     pub fn bucket(distance: u64) -> usize {
-        match DEP_BUCKET_EDGES.iter().position(|&e| distance <= e) {
-            Some(i) => i,
-            None => NUM_DEP_BUCKETS - 1,
+        if distance <= LAST_EDGE {
+            usize::from(BUCKET_OF[distance as usize])
+        } else {
+            NUM_DEP_BUCKETS - 1
         }
     }
 
@@ -115,6 +135,15 @@ mod tests {
         assert_eq!(DepHistogram::bucket(32), 6);
         assert_eq!(DepHistogram::bucket(33), 7);
         assert_eq!(DepHistogram::bucket(1_000_000), 7);
+    }
+
+    #[test]
+    fn bucket_table_matches_the_edge_scan() {
+        for distance in (1..=64).chain([u64::MAX]) {
+            let scan =
+                DEP_BUCKET_EDGES.iter().position(|&e| distance <= e).unwrap_or(NUM_DEP_BUCKETS - 1);
+            assert_eq!(DepHistogram::bucket(distance), scan, "distance {distance}");
+        }
     }
 
     #[test]

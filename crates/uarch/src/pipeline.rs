@@ -233,7 +233,15 @@ impl RobEntry {
 struct StoreRef {
     seq: u64,
     addr: u64,
-    end: u64,
+    bytes: u64,
+}
+
+/// Whether the byte ranges `[a, a + a_len)` and `[b, b + b_len)` overlap,
+/// each wrapping at the top of the address space as the functional
+/// simulator's memory wraps it.
+#[inline]
+fn overlaps(a: u64, a_len: u64, b: u64, b_len: u64) -> bool {
+    b.wrapping_sub(a) < a_len || a.wrapping_sub(b) < b_len
 }
 
 /// Fixed-capacity power-of-two ring holding the in-flight window. The
@@ -974,7 +982,7 @@ impl Pipeline {
             }
             let e = self.rob.at(self.rob_len);
             let (seq, is_load, is_store, addr) = (e.seq, e.is_load, e.is_store, e.addr);
-            let end = addr + u64::from(e.bytes);
+            let bytes = u64::from(e.bytes);
             let is_mem = is_load || is_store;
             if is_mem && self.lsq_count >= self.config.lsq_size {
                 break;
@@ -993,7 +1001,7 @@ impl Pipeline {
                 let front_seq = self.front_seq();
                 let mut fwd_end = 0;
                 for st in self.stores.iter().rev() {
-                    if st.addr < end && addr < st.end {
+                    if overlaps(addr, bytes, st.addr, st.bytes) {
                         fwd_end = fwd_end.max(st.seq + 1);
                         let live = !self.producer_done(front_seq, st.seq);
                         stores += self.wake.subscribe(self.rob.slot(st.seq), slot, live);
@@ -1002,7 +1010,7 @@ impl Pipeline {
                 self.rob.slab[slot].fwd_end = fwd_end;
             }
             if is_store {
-                self.stores.push_back(StoreRef { seq, addr, end });
+                self.stores.push_back(StoreRef { seq, addr, bytes });
             }
             self.wake.release(slot, stores);
             self.activity.dispatches += 1;
@@ -1272,6 +1280,29 @@ mod tests {
         assert_eq!(rep.instrs, 3 + 500 * 5 + 1);
         // Forwarded loads should not all miss in the cache.
         assert!(rep.l1d_mpi() < 0.05);
+    }
+
+    #[test]
+    fn store_wrapping_the_address_space_overlaps_its_loads() {
+        // An 8-byte store and load 4 bytes below the top of the address
+        // space, so both ranges wrap to 0, next to the same program 4
+        // bytes below 8 GiB: the low 32 address bits match, so the load
+        // must forward and the two must time alike.
+        let program = |at: i64| {
+            let mut b = ProgramBuilder::new("wrap");
+            b.li(r(1), at);
+            b.li(r(2), 7);
+            b.sd(r(2), r(1), 0);
+            b.ld(r(3), r(1), 0);
+            b.halt();
+            b.build()
+        };
+        let wrapped = run_program(&program(-4), base_config());
+        assert_eq!(wrapped, run_program(&program(0x1_ffff_fffc), base_config()));
+        // The wrapped bytes 0..4 overlap a load there; the top 4 do not.
+        assert!(overlaps(u64::MAX - 3, 8, 0, 4));
+        assert!(!overlaps(u64::MAX - 3, 4, 0, 4));
+        assert!(!overlaps(0, 4, 4, 4));
     }
 
     #[test]
