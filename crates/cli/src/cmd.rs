@@ -356,11 +356,10 @@ fn kernel_program(parsed: &Parsed, pos: usize) -> Result<(String, Program), Stri
 /// `--jobs N` run reports the same stages (with pool fan-out folded into
 /// the driving span) at any thread count.
 fn stage_footer() -> Option<String> {
-    let snap = perfclone_obs::snapshot();
-    if snap.spans.is_empty() {
+    let stages = perfclone_obs::snapshot().stages;
+    if stages.is_empty() {
         return None;
     }
-    let stages = RunReport::from_snapshot("", "", snap).stages;
     let parts: Vec<String> = stages
         .iter()
         .map(|s| {

@@ -7,7 +7,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::report::{
-    CounterEntry, GaugeEntry, HistogramBucket, HistogramEntry, SpanEntry, TelemetrySnapshot,
+    CounterEntry, GaugeEntry, HistogramBucket, HistogramEntry, SpanEntry, StageSummary,
+    TelemetrySnapshot,
 };
 
 /// `HIST_BUCKETS` log2 buckets: bucket 0 holds the value 0, bucket `i ≥ 1`
@@ -135,11 +136,25 @@ pub(crate) struct SpanRecord {
     pub duration_ns: u64,
 }
 
+/// Raw span records a snapshot can hold; spans past it still count in the
+/// stage totals.
+pub(crate) const SPAN_LOG_CAP: usize = 4096;
+
+/// Finished spans: the first [`SPAN_LOG_CAP`] raw records, plus exact
+/// `(calls, total_ns)` per span name over every span recorded. The cap
+/// keeps a long run's memory from growing with its span count; the
+/// totals keep stage summaries independent of it.
+#[derive(Default)]
+struct SpanLog {
+    records: Vec<SpanRecord>,
+    stages: BTreeMap<&'static str, (u64, u64)>,
+}
+
 pub(crate) struct Registry {
     counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
     gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
     histograms: Mutex<BTreeMap<&'static str, &'static Histogram>>,
-    spans: Mutex<Vec<SpanRecord>>,
+    spans: Mutex<SpanLog>,
     next_span_id: AtomicU64,
     epoch: Instant,
 }
@@ -159,7 +174,7 @@ pub(crate) fn registry() -> &'static Registry {
         counters: Mutex::new(BTreeMap::new()),
         gauges: Mutex::new(BTreeMap::new()),
         histograms: Mutex::new(BTreeMap::new()),
-        spans: Mutex::new(Vec::new()),
+        spans: Mutex::new(SpanLog::default()),
         next_span_id: AtomicU64::new(1),
         epoch: Instant::now(),
     })
@@ -174,8 +189,23 @@ impl Registry {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
+    /// Adds a finished span to its stage total and, while the raw log has
+    /// room, to the log; otherwise counts it in `obs.spans.dropped`.
     pub(crate) fn push_span(&self, record: SpanRecord) {
-        lock(&self.spans).push(record);
+        let kept = {
+            let mut log = lock(&self.spans);
+            let stage = log.stages.entry(record.name).or_insert((0, 0));
+            stage.0 += 1;
+            stage.1 += record.duration_ns;
+            let kept = log.records.len() < SPAN_LOG_CAP;
+            if kept {
+                log.records.push(record);
+            }
+            kept
+        };
+        if !kept {
+            crate::count!("obs.spans.dropped");
+        }
     }
 }
 
@@ -230,7 +260,9 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Takes a full snapshot of the registry: every instrument, sorted by
-/// name, plus the recorded spans in completion order.
+/// name, the per-name stage totals, and the raw span log (at most the
+/// first 4096 spans; `obs.spans.dropped` counts the rest) in completion
+/// order.
 ///
 /// Torn-read semantics: each atomic is read once with `Relaxed` ordering
 /// and no global lock is held across instruments, so a snapshot taken
@@ -259,7 +291,18 @@ pub fn snapshot() -> TelemetrySnapshot {
         .map(|(name, g)| GaugeEntry { name: (*name).to_string(), value: g.get() })
         .collect();
     let histograms = lock(&r.histograms).iter().map(|(name, h)| h.entry(name)).collect();
-    let spans = lock(&r.spans)
+    let log = lock(&r.spans);
+    let stages = log
+        .stages
+        .iter()
+        .map(|(name, &(calls, total_ns))| StageSummary {
+            name: (*name).to_string(),
+            calls,
+            total_ns,
+        })
+        .collect();
+    let spans = log
+        .records
         .iter()
         .map(|s| SpanEntry {
             id: s.id,
@@ -269,11 +312,11 @@ pub fn snapshot() -> TelemetrySnapshot {
             duration_ns: s.duration_ns,
         })
         .collect();
-    TelemetrySnapshot { counters, gauges, histograms, spans }
+    TelemetrySnapshot { counters, gauges, histograms, stages, spans }
 }
 
-/// Zeroes every instrument, clears the span log, and rewinds the trace
-/// event rings. Registrations (and cached handles) stay valid. Intended
+/// Zeroes every instrument, clears the span log and stage totals, and
+/// rewinds the trace event rings. Registrations (and cached handles) stay valid. Intended
 /// for tests and for the CLI, which resets before a `--report` run so
 /// the report covers exactly one command.
 pub fn reset() {
@@ -290,7 +333,9 @@ pub fn reset() {
             b.store(0, Ordering::Relaxed);
         }
     }
-    lock(&r.spans).clear();
+    let mut log = lock(&r.spans);
+    log.records.clear();
+    log.stages.clear();
 }
 
 #[cfg(test)]
@@ -374,6 +419,48 @@ mod tests {
             stop.store(true, Ordering::Relaxed);
         });
         assert!(c.get() > 0);
+    }
+
+    #[test]
+    fn span_log_is_capped_but_stage_totals_stay_exact() {
+        let _g = registry_lock();
+        reset();
+        let extra = 100u64;
+        let n = SPAN_LOG_CAP as u64 + extra;
+        for i in 0..n {
+            let name = if i % 3 == 0 { "test.cap.a" } else { "test.cap.b" };
+            registry().push_span(SpanRecord {
+                id: i + 1,
+                parent: 0,
+                name,
+                start_ns: i,
+                duration_ns: i,
+            });
+        }
+        let snap = snapshot();
+        assert_eq!(snap.spans.len(), SPAN_LOG_CAP);
+        assert_eq!(snap.spans.last().map(|s| s.id), Some(SPAN_LOG_CAP as u64));
+        let dropped = snap.counters.iter().find(|c| c.name == "obs.spans.dropped");
+        assert_eq!(dropped.map(|c| c.value), Some(extra));
+        let (a, b): (Vec<u64>, Vec<u64>) = (0..n).partition(|i| i % 3 == 0);
+        assert_eq!(
+            snap.stages,
+            vec![
+                StageSummary {
+                    name: "test.cap.a".into(),
+                    calls: a.len() as u64,
+                    total_ns: a.iter().sum()
+                },
+                StageSummary {
+                    name: "test.cap.b".into(),
+                    calls: b.len() as u64,
+                    total_ns: b.iter().sum()
+                },
+            ]
+        );
+        reset();
+        let snap = snapshot();
+        assert!(snap.spans.is_empty() && snap.stages.is_empty());
     }
 
     #[test]

@@ -80,18 +80,25 @@ pub struct TelemetrySnapshot {
     pub gauges: Vec<GaugeEntry>,
     /// All histograms, sorted by name.
     pub histograms: Vec<HistogramEntry>,
-    /// All completed spans, in completion order.
+    /// Per-stage wall-time totals over every completed span, sorted by
+    /// name — exact even when the raw span log below is full.
+    pub stages: Vec<StageSummary>,
+    /// The first few thousand completed spans, in completion order; the
+    /// `obs.spans.dropped` counter counts the spans past the cap.
     pub spans: Vec<SpanEntry>,
 }
 
 impl TelemetrySnapshot {
-    /// The schedule-independent view: drops spans and the `span.*.ns`
+    /// The schedule-independent view: drops spans, their stage totals,
+    /// the span log's `obs.spans.dropped` counter and the `span.*.ns`
     /// latency histograms they feed. What remains is a pure function of
     /// the work performed — identical across `PERFCLONE_JOBS` settings
     /// for the same seed (the contract `tests/observability.rs` checks).
     #[must_use]
     pub fn deterministic(mut self) -> TelemetrySnapshot {
         self.spans.clear();
+        self.stages.clear();
+        self.counters.retain(|c| c.name != "obs.spans.dropped");
         self.histograms.retain(|h| !h.name.starts_with("span."));
         self
     }
@@ -313,7 +320,8 @@ pub struct RunReport {
     pub gauges: Vec<GaugeEntry>,
     /// Raw histograms.
     pub histograms: Vec<HistogramEntry>,
-    /// Raw span log.
+    /// Raw span log: the first few thousand spans of the run (the
+    /// `obs.spans.dropped` counter counts the rest; `stages` covers all).
     pub spans: Vec<SpanEntry>,
 }
 
@@ -338,19 +346,6 @@ impl serde::Deserialize for RunReport {
             spans: serde::get_field(v, "spans")?,
         })
     }
-}
-
-/// Derives [`StageSummary`] rows by aggregating spans that share a name.
-fn stages_from(spans: &[SpanEntry]) -> Vec<StageSummary> {
-    let mut agg: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for s in spans {
-        let e = agg.entry(s.name.as_str()).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += s.duration_ns;
-    }
-    agg.into_iter()
-        .map(|(name, (calls, total_ns))| StageSummary { name: name.to_string(), calls, total_ns })
-        .collect()
 }
 
 /// Derives [`CacheRates`] rows from `cache.<name>.lookups` /
@@ -379,15 +374,15 @@ fn caches_from(counters: &[CounterEntry]) -> Vec<CacheRates> {
 }
 
 impl RunReport {
-    /// Builds a report from a snapshot, deriving the stage and cache-rate
-    /// summaries. Gate, sweep, and metric rows start empty; the caller
-    /// fills them from stage results it holds.
+    /// Builds a report from a snapshot, taking its stage totals and
+    /// deriving the cache-rate summaries. Gate, sweep, and metric rows
+    /// start empty; the caller fills them from stage results it holds.
     pub fn from_snapshot(command: &str, workload: &str, snap: TelemetrySnapshot) -> RunReport {
         RunReport {
             report_version: REPORT_VERSION,
             command: command.to_string(),
             workload: workload.to_string(),
-            stages: stages_from(&snap.spans),
+            stages: snap.stages,
             caches: caches_from(&snap.counters),
             gate: Vec::new(),
             sweep: None,
@@ -608,6 +603,10 @@ mod tests {
                     count: 1,
                     buckets: vec![HistogramBucket { lo: 1024, hi: 2047, count: 1 }],
                 },
+            ],
+            stages: vec![
+                StageSummary { name: "profile.collect".into(), calls: 1, total_ns: 1500 },
+                StageSummary { name: "synth.gen".into(), calls: 2, total_ns: 1000 },
             ],
             spans: vec![
                 SpanEntry {

@@ -116,6 +116,12 @@ impl<'p> Simulator<'p> {
     ///
     /// Returns [`SimError::PcOutOfRange`] if control flow escapes the
     /// program text.
+    //
+    // Inlined so each consumer's loop (`run_with`, `Trace`, the
+    // recorders' callers) compiles the interpreter in: out of line, the
+    // call and the by-memory hand-off of the result cost about as much as
+    // interpreting the instruction.
+    #[inline]
     pub fn step(&mut self) -> Result<Option<DynInstr>, SimError> {
         if self.halted {
             return Ok(None);
@@ -287,6 +293,7 @@ impl<'p> Simulator<'p> {
         Ok(out)
     }
 
+    #[inline]
     fn effective_address(&mut self, mem: MemRef) -> u64 {
         match mem {
             MemRef::Base { base, offset } => {

@@ -344,6 +344,7 @@ impl PackedRecorder {
     }
 
     /// Packs one retired instruction.
+    #[inline]
     pub fn push(&mut self, d: &DynInstr) {
         if self.len == 0 {
             self.start_pc = d.pc;

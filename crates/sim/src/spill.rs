@@ -1111,6 +1111,7 @@ impl SpillingRecorder {
     ///
     /// Returns a [`TraceError::Io`] if the drain's filesystem writes fail;
     /// segment files already created are removed when the recorder drops.
+    #[inline]
     pub fn push(&mut self, d: &DynInstr) -> Result<(), TraceError> {
         self.rec.push(d);
         if self.rec.packed_bytes() > self.mem_budget {

@@ -134,6 +134,7 @@ impl<'p> Trace<'p> {
 impl Iterator for Trace<'_> {
     type Item = DynInstr;
 
+    #[inline]
     fn next(&mut self) -> Option<DynInstr> {
         if self.remaining == 0 || self.fault.is_some() {
             return None;
